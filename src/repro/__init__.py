@@ -18,12 +18,7 @@ Public API highlights::
 
 from repro.core import (
     NSGA2,
-    CachedBackend,
     EvaluationBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    make_backend,
     IslandNSGA2,
     ParetoArchive,
     QuantilePartitionGrid,
@@ -49,12 +44,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "NSGA2",
-    "CachedBackend",
     "EvaluationBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "ThreadPoolBackend",
-    "make_backend",
     "IslandNSGA2",
     "ParetoArchive",
     "QuantilePartitionGrid",

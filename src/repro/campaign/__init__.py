@@ -18,9 +18,7 @@ Layers:
   (:class:`CampaignSpec`, :class:`OperatingCondition`) and its expansion
   into concrete :class:`Scenario` technology cards.
 * :mod:`repro.campaign.shards` — scenario-batch evaluation as a
-  :class:`~repro.problems.base.Problem` (so the existing
-  serial/process/shm backends parallelize over designs) plus atomic
-  shard-result files.
+  :class:`~repro.problems.base.Problem` plus atomic shard-result files.
 * :mod:`repro.campaign.aggregate` — reduction of shard results into the
   campaign report (yields, Wilson intervals, derating).
 * :mod:`repro.campaign.engine` — :class:`CampaignRunner`: inline

@@ -12,7 +12,7 @@ A campaign lives in a directory under the runner's root::
 Execution modes share every byte of evaluation and aggregation code:
 
 * **inline** — :meth:`CampaignRunner.run_inline` evaluates the pending
-  shards in-process through a chosen evaluation backend;
+  shards in-process, one after another;
 * **durable** — :meth:`CampaignRunner.submit_shards` enqueues one
   ``campaign_shard`` job per pending shard into the PR 8
   :class:`~repro.serve.store.JobStore`; ``repro workers`` processes (or
@@ -380,8 +380,6 @@ class CampaignRunner:
         self,
         manifest: Dict[str, Any],
         shard_index: int,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
     ) -> ShardResult:
         """Evaluate one shard, persisting its result atomically.
 
@@ -418,12 +416,7 @@ class CampaignRunner:
                 shard=shard_index,
             ):
                 result = evaluate_shard(
-                    spec,
-                    shard_scenarios,
-                    x,
-                    shard_index=shard_index,
-                    backend=backend,
-                    workers=workers,
+                    spec, shard_scenarios, x, shard_index=shard_index
                 )
         except Exception:
             self._m_shards.labels(state="failed").inc()
@@ -440,17 +433,10 @@ class CampaignRunner:
         )
         return result
 
-    def run_inline(
-        self,
-        manifest: Dict[str, Any],
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
-    ) -> Dict[str, Any]:
+    def run_inline(self, manifest: Dict[str, Any]) -> Dict[str, Any]:
         """Run every pending shard in-process, then finalize."""
         for shard_index in range(len(manifest["shards"])):
-            self.run_shard(
-                manifest, shard_index, backend=backend, workers=workers
-            )
+            self.run_shard(manifest, shard_index)
         return self.finalize(manifest)
 
     # --------------------------------------------------------------- durable
@@ -459,8 +445,6 @@ class CampaignRunner:
         self,
         manifest: Dict[str, Any],
         job_store,
-        backend: Optional[str] = None,
-        workers: Optional[int] = None,
         queue_bound: Optional[int] = None,
     ) -> List[Any]:
         """Enqueue one durable ``campaign_shard`` job per pending shard.
@@ -484,19 +468,14 @@ class CampaignRunner:
         for shard_index in self.pending_shards(manifest):
             if shard_index in active:
                 continue
-            params: Dict[str, Any] = {
-                "campaign_id": cid,
-                "campaign_root": str(self.root),
-                "shard_index": shard_index,
-            }
-            if backend is not None:
-                params["backend"] = backend
-            if workers is not None:
-                params["workers"] = workers
             record = JobRecord(
                 id=f"job-{uuid.uuid4().hex[:12]}",
                 kind="campaign_shard",
-                params=params,
+                params={
+                    "campaign_id": cid,
+                    "campaign_root": str(self.root),
+                    "shard_index": shard_index,
+                },
                 trace_id=manifest.get("trace_id"),
             )
             job_store.submit(record, queue_bound=queue_bound)

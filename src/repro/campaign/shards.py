@@ -3,10 +3,10 @@
 A shard evaluates all campaign designs under a contiguous slice of the
 scenario grid.  The evaluation is expressed as a
 :class:`~repro.problems.base.Problem` so it inherits the batched
-``evaluate_batch`` contract and rides the existing evaluation backends
-(serial / thread / process / shm) for design-parallelism — the backends'
-row-decomposability guarantee is exactly what makes chunked parallel
-evaluation bit-identical to serial.
+``evaluate_batch`` contract and goes through the same
+:class:`~repro.core.evaluation.EvaluationBackend` as the optimizers.
+Parallelism comes from running shards as durable jobs on several
+``repro workers`` processes.
 
 Within one scenario the ``stacked_technology`` trick packs all ``n_mc``
 Monte-Carlo process samples into a single card, so one
@@ -45,7 +45,7 @@ from repro.circuits.sizing_problem import (
 from repro.circuits.specs import IntegratorSpec, published_spec
 from repro.circuits.technology import nominal_technology
 from repro.circuits.yield_est import MonteCarloSampler
-from repro.core.evaluation import make_backend
+from repro.core.evaluation import EvaluationBackend
 from repro.problems.base import Problem
 
 PathLike = Union[str, Path]
@@ -206,25 +206,13 @@ def evaluate_shard(
     scenarios: Sequence[Scenario],
     x: np.ndarray,
     shard_index: int = 0,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
     integrator_spec: Optional[IntegratorSpec] = None,
 ) -> ShardResult:
-    """Evaluate one shard of the campaign over the design batch *x*.
-
-    *backend*/*workers* select the evaluation backend
-    (``serial``/``thread``/``process``/``shm``); all are bit-identical
-    by the backend-equivalence contract, so the choice is purely a speed
-    knob and never affects the aggregated yields.
-    """
+    """Evaluate one shard of the campaign over the design batch *x*."""
     problem = CampaignShardProblem(
         spec, scenarios, integrator_spec=integrator_spec
     )
-    eval_backend = make_backend(backend, workers=workers)
-    try:
-        evaluation = eval_backend.evaluate(problem, np.atleast_2d(x))
-    finally:
-        eval_backend.close()
+    evaluation = EvaluationBackend().evaluate(problem, np.atleast_2d(x))
     power, passes = unpack_objectives(
         evaluation.objectives, len(problem.scenarios), spec.n_mc
     )

@@ -73,8 +73,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.circuits.specs import spec_ladder
-from repro.core.evaluation import BACKEND_NAMES
-from repro.core.kernels import KERNEL_NAMES
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.ledger import (
     format_event,
@@ -123,25 +121,12 @@ def _print_run_summary(
     summary: RunSummary,
     max_rows: int = 20,
     json_path: Optional[str] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    cache_size: Optional[int] = None,
 ) -> None:
     front = summary.result.front_objectives
-    stats = summary.result.metadata.get("backend_stats", {})
-    backend_note = f" backend={backend or 'serial'}"
-    if workers:
-        backend_note += f" workers={workers}"
-    if cache_size:
-        backend_note += (
-            f" cache_hits={stats.get('cache_hits', 0)}"
-            f"/{stats.get('cache_hits', 0) + stats.get('cache_misses', 0)}"
-        )
     print(
         f"{summary.algorithm}: front={summary.front_size} "
         f"coverage={summary.coverage:.2f} hv_paper={summary.hv_paper:.2f} "
-        f"({summary.n_evaluations} evaluations, {summary.wall_time:.1f}s,"
-        f"{backend_note})"
+        f"({summary.n_evaluations} evaluations, {summary.wall_time:.1f}s)"
     )
     rows = front_rows(front, max_rows=max_rows)
     print(format_table(["c_load_pF", "power_mW"], rows))
@@ -166,10 +151,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.algorithm,
         "cli",
         scale=scale,
-        backend=args.backend,
-        workers=args.workers,
-        cache_size=args.cache_size,
-        kernel=args.kernel,
         use_corners=not args.no_corners,
         mc_seed=args.mc_seed,
         checkpoint_path=args.checkpoint,
@@ -179,14 +160,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         metrics_out=args.metrics_out,
         **kwargs,
     )
-    _print_run_summary(
-        summary,
-        max_rows=args.max_rows,
-        json_path=args.json,
-        backend=args.backend,
-        workers=args.workers,
-        cache_size=args.cache_size,
-    )
+    _print_run_summary(summary, max_rows=args.max_rows, json_path=args.json)
     _print_metrics_outcome(summary)
     return 0
 
@@ -464,12 +438,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         params["use_corners"] = False
     if args.partitions is not None and args.algorithm == "sacga":
         params["n_partitions"] = args.partitions
-    if args.backend is not None:
-        params["backend"] = args.backend
-    if args.workers is not None:
-        params["workers"] = args.workers
-    if args.cache_size is not None:
-        params["cache_size"] = args.cache_size
     if args.surface:
         params["surface"] = args.surface
     client = ServeClient(args.url)
@@ -672,9 +640,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         f"trace={manifest['trace_id']}"
     )
     if not args.durable:
-        report = runner.run_inline(
-            manifest, backend=args.backend, workers=args.workers
-        )
+        report = runner.run_inline(manifest)
         _print_campaign_report(report, max_rows=args.max_rows, json_path=args.json)
         return 0
     from repro.serve.store import JobStore
@@ -682,9 +648,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     store_path = (
         Path(args.store) if args.store else Path(args.data_dir) / "jobs.sqlite"
     )
-    submitted = runner.submit_shards(
-        manifest, JobStore(store_path), backend=args.backend, workers=args.workers
-    )
+    submitted = runner.submit_shards(manifest, JobStore(store_path))
     print(f"submitted {len(submitted)} campaign_shard job(s) to {store_path}")
     if not args.wait:
         print(
@@ -776,28 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--partitions", type=int, default=8)
     p_run.add_argument("--full", action="store_true")
     p_run.add_argument("--generations", type=int)
-    p_run.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="evaluation backend (default: serial)",
-    )
-    p_run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for thread/process/shm backends "
-             "(default: available cores - 1, respecting CPU affinity)",
-    )
-    p_run.add_argument(
-        "--cache-size", type=int, default=None,
-        help="wrap the backend in an LRU evaluation cache of this many designs",
-    )
-    p_run.add_argument(
-        "--kernel",
-        choices=list(KERNEL_NAMES),
-        default=None,
-        help="dominance/selection kernel (default: blocked; "
-        "bit-identical results either way)",
-    )
     p_run.add_argument(
         "--n-mc", type=int, default=None,
         help="Monte-Carlo samples of the robustness constraint "
@@ -1041,20 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_submit.add_argument("--partitions", type=int, default=None)
     p_submit.add_argument(
-        "--backend",
-        choices=list(BACKEND_NAMES),
-        default=None,
-        help="evaluation backend for the job (default: serial)",
-    )
-    p_submit.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for pool backends (default: available cores - 1)",
-    )
-    p_submit.add_argument(
-        "--cache-size", type=int, default=None,
-        help="wrap the job's backend in an LRU evaluation cache",
-    )
-    p_submit.add_argument(
         "--surface", default=None,
         help="register the resulting design surface under this name",
     )
@@ -1149,14 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--condition", action="append", default=None, metavar="NAME,VDD,TEMP",
         help="extra operating condition as NAME,VDD_SCALE,TEMP_K "
         "(repeatable; e.g. hot,0.95,358); the nominal condition is kept",
-    )
-    pc_run.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="evaluation backend for shard evaluation (default: serial)",
-    )
-    pc_run.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for pool backends",
     )
     pc_run.add_argument(
         "--durable", action="store_true",

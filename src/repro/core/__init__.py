@@ -13,19 +13,8 @@ Public surface:
 """
 
 from repro.core.individual import Population, IndividualView
-from repro.core.evaluation import (
-    BackendStats,
-    CachedBackend,
-    EvaluationBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    ThreadPoolBackend,
-    make_backend,
-)
+from repro.core.evaluation import BackendStats, EvaluationBackend
 from repro.core.kernels import (
-    KERNEL_NAMES,
-    get_default_kernel,
-    set_default_kernel,
     local_rank_and_crowd,
     rank_and_crowd,
     truncate_and_rank,
@@ -67,12 +56,7 @@ __all__ = [
     "Population",
     "IndividualView",
     "BackendStats",
-    "CachedBackend",
     "EvaluationBackend",
-    "ProcessPoolBackend",
-    "SerialBackend",
-    "ThreadPoolBackend",
-    "make_backend",
     "SBXCrossover",
     "PolynomialMutation",
     "variation",
@@ -82,9 +66,6 @@ __all__ = [
     "assign_ranks",
     "crowding_distance",
     "crowded_truncate",
-    "KERNEL_NAMES",
-    "get_default_kernel",
-    "set_default_kernel",
     "local_rank_and_crowd",
     "rank_and_crowd",
     "truncate_and_rank",

@@ -28,9 +28,8 @@ import numpy as np
 
 from repro.core.callbacks import CallbackList, HistoryRecorder, ProgressCallback
 from repro.core.checkpoint import CHECKPOINT_VERSION, load_checkpoint
-from repro.core.evaluation import EvaluationBackend, SerialBackend
+from repro.core.evaluation import EvaluationBackend
 from repro.core.individual import Population
-from repro.core.kernels import resolve_kernel
 from repro.core.operators import PolynomialMutation, SBXCrossover
 from repro.core.results import OptimizationResult, extract_feasible_front
 from repro.obs.registry import NULL_METRICS
@@ -53,19 +52,6 @@ class BaseOptimizer:
         polynomial mutation(eta=20, p=1/n_var) as in NSGA-II practice.
     seed:
         Anything :func:`repro.utils.rng.as_rng` accepts.
-    backend:
-        An :class:`repro.core.evaluation.EvaluationBackend` that carries
-        out fitness evaluation (default: serial, the historical
-        behavior).  Backends are semantics-preserving — the choice
-        affects wall time and the stats echoed into result metadata,
-        never the optimization trajectory.
-    kernel:
-        Dominance/selection kernel (``"blocked"`` or ``"reference"``,
-        see :mod:`repro.core.kernels`); ``None`` uses the process
-        default.  Kernels are semantics-preserving: both produce
-        bit-identical fronts, so the choice is deliberately *not*
-        echoed into result metadata — serialized results stay
-        byte-comparable across kernels.
     metrics:
         A :class:`repro.obs.registry.MetricsRegistry` receiving
         evaluation counters and latency histograms; ``None`` (the
@@ -90,8 +76,6 @@ class BaseOptimizer:
         crossover: Optional[SBXCrossover] = None,
         mutation: Optional[PolynomialMutation] = None,
         seed: RngLike = None,
-        backend: Optional[EvaluationBackend] = None,
-        kernel: Optional[str] = None,
         metrics=None,
         tracer=None,
     ) -> None:
@@ -104,8 +88,7 @@ class BaseOptimizer:
         self.crossover = crossover or SBXCrossover()
         self.mutation = mutation or PolynomialMutation()
         self.rng = as_rng(seed)
-        self.backend = backend or SerialBackend()
-        self.kernel = resolve_kernel(kernel)
+        self.backend = EvaluationBackend()
         self.metrics = NULL_METRICS if metrics is None else metrics
         self.tracer = NULL_TRACER if tracer is None else tracer
         # Instrument handles and span names are fixed at construction so
@@ -173,13 +156,11 @@ class BaseOptimizer:
         cadence skips generations.
         """
         stats = self.backend.stats
-        prev = self._backend_stats_prev
-        extras = {"eval_time_s": float(stats.eval_time - prev["eval_time"])}
-        if stats.cache_hits or stats.cache_misses:
-            extras["cache_hits"] = float(stats.cache_hits - prev["cache_hits"])
-            extras["cache_misses"] = float(
-                stats.cache_misses - prev["cache_misses"]
+        extras = {
+            "eval_time_s": float(
+                stats.eval_time - self._backend_stats_prev["eval_time"]
             )
+        }
         self._backend_stats_prev = stats.as_dict()
         return extras
 
@@ -271,8 +252,8 @@ class BaseOptimizer:
                 self._stop_requested = False
                 self._prior_wall_time = 0.0
                 # Telemetry deltas are relative to the run start, even when
-                # the backend (and its cumulative counters) is reused
-                # across runs.
+                # the optimizer (and its backend's cumulative counters) is
+                # reused across runs.
                 self._backend_stats_prev = self.backend.stats.as_dict()
                 self.problem.reset_evaluation_counter()
                 self._loop_state = self._loop_init(n_generations, initial_x)
@@ -391,20 +372,9 @@ class BaseOptimizer:
         """Carry cumulative backend counters across the crash boundary, so
         the final ``backend_stats`` metadata matches an uninterrupted run."""
         stats = self.backend.stats
-        for field in (
-            "n_evaluations",
-            "n_batches",
-            "cache_hits",
-            "cache_misses",
-            "cache_evictions",
-            "fallbacks",
-            "bytes_shared",
-            "bytes_pickled",
-        ):
-            if field in saved:
-                setattr(stats, field, int(saved[field]))
-        if "eval_time" in saved:
-            stats.eval_time = float(saved["eval_time"])
+        stats.n_evaluations = int(saved.get("n_evaluations", 0))
+        stats.n_batches = int(saved.get("n_batches", 0))
+        stats.eval_time = float(saved.get("eval_time", 0.0))
 
     def _restore_loop_state(self, state: Dict[str, Any]) -> None:
         """Install a checkpointed loop state (subclasses may sync derived

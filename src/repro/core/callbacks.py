@@ -36,7 +36,7 @@ class HistoryRecorder:
         """Register a zero-arg callable whose dict is merged into every
         record's extras (caller-passed extras win on key collision).
         The evaluation backend plugs in this way to surface per-generation
-        eval wall time and cache counters without touching the algorithms."""
+        eval wall time without touching the algorithms."""
         self._extras_sources.append(source)
 
     def should_record(self, generation: int) -> bool:

@@ -23,11 +23,6 @@ reproduces the uninterrupted run's result **byte-for-byte** (under
 differ).  The equivalence is locked in by
 ``tests/core/test_checkpoint_resume.py`` for all three paper algorithms.
 
-One documented exception: a :class:`~repro.core.evaluation.CachedBackend`
-does not persist its memo table, so a resumed run recomputes rows the
-uninterrupted run would have hit in cache — trajectories stay identical
-(caching is semantics-preserving) but cache counters differ.
-
 Usage::
 
     algo = SACGA(problem, grid, seed=7)

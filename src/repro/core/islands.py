@@ -59,8 +59,6 @@ class IslandNSGA2(BaseOptimizer):
         crossover=None,
         mutation=None,
         seed: RngLike = None,
-        backend=None,
-        kernel=None,
         metrics=None,
         tracer=None,
     ) -> None:
@@ -70,8 +68,6 @@ class IslandNSGA2(BaseOptimizer):
             crossover=crossover,
             mutation=mutation,
             seed=seed,
-            backend=backend,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -102,9 +98,7 @@ class IslandNSGA2(BaseOptimizer):
         return sizes
 
     def _rank_and_crowd(self, pop: Population) -> None:
-        rank, crowding = rank_and_crowd(
-            pop.objectives, pop.violation, kernel=self.kernel
-        )
+        rank, crowding = rank_and_crowd(pop.objectives, pop.violation)
         pop.rank[:] = rank
         pop.crowding[:] = crowding
 
@@ -128,7 +122,7 @@ class IslandNSGA2(BaseOptimizer):
         with self.tracer.span("rank"):
             with self.tracer.span("kernel:truncate_and_rank"):
                 keep, rank, crowding = truncate_and_rank(
-                    merged.objectives, merged.violation, size, kernel=self.kernel
+                    merged.objectives, merged.violation, size
                 )
             survivor = merged.subset(keep)
             survivor.rank[:] = rank

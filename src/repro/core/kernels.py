@@ -3,22 +3,19 @@
 Every generation of NSGA-II, SACGA and MESACGA is dominated by three
 operations: non-dominated sorting of the merged parent+offspring pool,
 per-partition local ranking, and crowded environmental truncation.  The
-historical implementations (kept here verbatim as the ``"reference"``
-kernel — the oracle) run a Python loop per population row or per
-partition; the ``"blocked"`` kernel replaces them with full-matrix
-broadcast comparisons evaluated in row blocks:
+kernels here replace the textbook per-row / per-partition Python loops
+with full-matrix broadcast comparisons evaluated in row blocks:
 
 * :func:`nds_fronts_blocked` — Deb's fast non-dominated sort built from
   a blocked ``(B, N, M)`` dominance comparison.  The full ``(N, N)``
   boolean dominance matrix is materialized (2.5 MB at N = 1600); the
   block size only bounds the *comparison* temporaries.
 * :func:`nds_fronts_sweep` — for one or two objectives (this library's
-  problems are all 2-objective) the ``blocked`` kernel instead uses an
-  ``O(N log N)`` sweep: in lexicographic objective order, a point's
-  front level is found by binary search over the per-front minimum of
-  the second objective (a patience-sorting argument).  The quadratic
-  matrix — whose cost the reference loop matches element-for-element at
-  large N, capping its speedup — is skipped entirely.
+  problems are all 2-objective) an ``O(N log N)`` sweep is used
+  instead: in lexicographic objective order, a point's front level is
+  found by binary search over the per-front minimum of the second
+  objective (a patience-sorting argument).  The quadratic matrix is
+  skipped entirely.
 * :func:`local_rank_and_crowd` — ranks **all** partitions in one pass.
   For two objectives a single partition-major lexsort lines every
   partition up as a contiguous segment and one sweep with per-segment
@@ -31,42 +28,29 @@ broadcast comparisons evaluated in row blocks:
 * :func:`truncate_and_rank` — NSGA-II environmental selection that sorts
   the merged pool **once**: survivors of complete fronts provably keep
   their front level after truncation (every front-``L`` member has a
-  dominator in front ``L-1``, which is always kept), so the second sort
-  the reference path runs on the survivor subset is redundant and is
-  replaced by a segment-batched crowding pass.
+  dominator in front ``L-1``, which is always kept), so a second sort
+  of the survivor subset is redundant and is replaced by a
+  segment-batched crowding pass.
 
-Semantics contract: for identical inputs both kernels return
-*bit-identical* outputs — fronts, ranks **and** crowding floats (the
-segmented crowding applies the same IEEE operations in the same
-per-objective order as :func:`crowding_distance`).  This is locked in by
-``tests/core/test_kernels.py``, the brute-force oracle in
-``tests/core/test_nds_oracle.py`` and the byte-level serialization
-equivalence in ``tests/core/test_determinism_regression.py``.
-
-The active kernel is chosen per call (``kernel="blocked"|"reference"``),
-per optimizer (``kernel=`` constructor kwarg) or globally
-(:func:`set_default_kernel` / ``REPRO_KERNEL`` environment variable).
-``benchmarks/perf/bench_kernels.py`` tracks the speedups in
-``BENCH_kernels.json`` at the repo root.
+Semantics contract: every kernel returns *bit-identical* outputs to the
+textbook loops — fronts, ranks **and** crowding floats (the segmented
+crowding applies the same IEEE operations in the same per-objective
+order as :func:`crowding_distance`).  The loops live on as the oracle in
+``tests/core/reference_kernels.py``; ``tests/core/test_kernels.py``,
+the brute-force oracle in ``tests/core/test_nds_oracle.py`` and the
+whole-run byte comparison in ``tests/core/test_determinism_regression.py``
+lock the contract in.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "KERNEL_NAMES",
-    "get_default_kernel",
-    "set_default_kernel",
-    "resolve_kernel",
-    "get_block_size",
-    "set_block_size",
     "crowding_distance",
-    "nds_fronts_reference",
     "nds_fronts_blocked",
     "nds_fronts_sweep",
     "constrained_fronts",
@@ -78,68 +62,28 @@ __all__ = [
     "reset_kernel_call_counts",
 ]
 
-#: Kernel implementations selectable throughout the library.
-KERNEL_NAMES = ("blocked", "reference")
+#: Rows per block of :func:`nds_fronts_blocked`'s broadcast comparison;
+#: bounds its ``(B, N, M)`` temporaries.
+_BLOCK_SIZE = 256
 
-_DEFAULT_BLOCK_SIZE = 256
-
-_default_kernel = os.environ.get("REPRO_KERNEL", "blocked").strip().lower()
-_block_size = int(os.environ.get("REPRO_KERNEL_BLOCK", _DEFAULT_BLOCK_SIZE))
-
-
-def get_default_kernel() -> str:
-    """The kernel used when a call site passes ``kernel=None``."""
-    return _default_kernel
-
-
-def set_default_kernel(name: str) -> None:
-    """Set the process-wide default kernel (``"blocked"`` or ``"reference"``)."""
-    global _default_kernel
-    _default_kernel = resolve_kernel(name)
-
-
-def resolve_kernel(name: Optional[str] = None) -> str:
-    """Validate *name*, mapping ``None`` to the process default."""
-    key = _default_kernel if name is None else str(name).strip().lower()
-    if key not in KERNEL_NAMES:
-        raise KeyError(
-            f"unknown kernel {name!r} (want one of {', '.join(KERNEL_NAMES)})"
-        )
-    return key
-
-
-def get_block_size() -> int:
-    """Row-block size bounding the blocked kernel's comparison temporaries."""
-    return _block_size
-
-
-def set_block_size(size: int) -> None:
-    """Set the blocked kernel's row-block size (memory/speed trade-off)."""
-    global _block_size
-    if size < 1:
-        raise ValueError(f"block size must be >= 1, got {size}")
-    _block_size = int(size)
-
-
-# Process-wide dispatch counters, keyed "function/kernel".  A plain dict
-# bump per *public* dispatch call (nested dispatches count too:
-# rank_and_crowd includes its inner constrained_fronts) — cheap enough to
-# be unconditional, and the telemetry layer exports per-generation deltas.
+# Process-wide call counters, keyed by function name.  A plain dict bump
+# per *public* kernel call (nested calls count too: rank_and_crowd
+# includes its inner constrained_fronts) — cheap enough to be
+# unconditional, and the telemetry layer exports per-generation deltas.
 _CALL_COUNTS: "dict[str, int]" = {}
 
 
-def _count_call(fn: str, kern: str) -> None:
-    key = f"{fn}/{kern}"
-    _CALL_COUNTS[key] = _CALL_COUNTS.get(key, 0) + 1
+def _count_call(fn: str) -> None:
+    _CALL_COUNTS[fn] = _CALL_COUNTS.get(fn, 0) + 1
 
 
 def kernel_call_counts() -> "dict[str, int]":
-    """Snapshot of cumulative kernel dispatch counts (``{"fn/kernel": n}``)."""
+    """Snapshot of cumulative kernel call counts (``{"fn": n}``)."""
     return dict(_CALL_COUNTS)
 
 
 def reset_kernel_call_counts() -> None:
-    """Zero the process-wide kernel dispatch counters."""
+    """Zero the process-wide kernel call counters."""
     _CALL_COUNTS.clear()
 
 
@@ -235,53 +179,20 @@ def _segmented_crowding(objs: np.ndarray, new_seg: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------ dominance sorting
 
 
-def nds_fronts_reference(objs: np.ndarray) -> List[np.ndarray]:
-    """Deb's fast non-dominated sort, one Python-loop row at a time.
-
-    This is the historical implementation, kept as the semantics oracle
-    for the blocked kernel.
-    """
-    n = objs.shape[0]
-    domination_count = np.zeros(n, dtype=int)
-    dominated_by: List[np.ndarray] = [np.zeros(0, dtype=int)] * n
-    for i in range(n):
-        le = np.all(objs[i] <= objs, axis=1)
-        lt = np.any(objs[i] < objs, axis=1)
-        dom = le & lt  # i dominates these
-        dom[i] = False
-        dominated_by[i] = np.flatnonzero(dom)
-        domination_count[dom] += 1
-
-    fronts: List[np.ndarray] = []
-    current = np.flatnonzero(domination_count == 0)
-    remaining = domination_count.copy()
-    while current.size:
-        fronts.append(current)
-        # Mark processed so they never reappear.
-        remaining[current] = -1
-        for i in current:
-            remaining[dominated_by[i]] -= 1
-        current = np.flatnonzero(remaining == 0)
-    return fronts
-
-
-def nds_fronts_blocked(
-    objs: np.ndarray, block_size: Optional[int] = None
-) -> List[np.ndarray]:
+def nds_fronts_blocked(objs: np.ndarray) -> List[np.ndarray]:
     """Deb's fast non-dominated sort via a blocked dominance matrix.
 
     Computes the full ``(N, N)`` boolean matrix ``dom[i, j] = i dominates
-    j`` with broadcast ``(B, N, M)`` comparisons (*block_size* rows at a
-    time), then peels fronts with whole-array updates.  Front contents
-    and order are identical to :func:`nds_fronts_reference`.
+    j`` with broadcast ``(B, N, M)`` comparisons (``_BLOCK_SIZE`` rows at
+    a time), then peels fronts with whole-array updates.  Front contents
+    and order are identical to Deb's per-row loop.
     """
     n = objs.shape[0]
     if n == 0:
         return []
-    bs = block_size if block_size is not None else get_block_size()
     dom = np.empty((n, n), dtype=bool)
-    for s in range(0, n, bs):
-        e = min(s + bs, n)
+    for s in range(0, n, _BLOCK_SIZE):
+        e = min(s + _BLOCK_SIZE, n)
         blk = objs[s:e, None, :]
         le = (blk <= objs[None, :, :]).all(axis=2)
         lt = (blk < objs[None, :, :]).any(axis=2)
@@ -293,7 +204,7 @@ def nds_fronts_blocked(
         fronts.append(current)
         # Front members are mutually non-dominating, so the decrement is
         # zero on `current` and the -1 marker survives exactly as in the
-        # reference peel.
+        # per-row peel.
         decrement = dom[current].sum(axis=0)
         remaining[current] = -1
         remaining -= decrement
@@ -341,12 +252,12 @@ def _sweep_levels(f1: list, f2: list, reset: list) -> list:
 def nds_fronts_sweep(objs: np.ndarray) -> List[np.ndarray]:
     """Non-dominated sort for one or two objectives in ``O(N log N)``.
 
-    Used by the ``blocked`` kernel whenever ``M <= 2`` (always, for this
-    library's problems): front levels come from :func:`_sweep_levels`
-    instead of the quadratic dominance matrix.  Front contents and order
-    are identical to :func:`nds_fronts_reference` — peel depth is a
-    property of the dominance relation, not of the algorithm, and
-    members are emitted in ascending original index.
+    Used whenever ``M <= 2`` (always, for this library's problems):
+    front levels come from :func:`_sweep_levels` instead of the quadratic
+    dominance matrix.  Front contents and order are identical to Deb's
+    per-row loop — peel depth is a property of the dominance relation,
+    not of the algorithm, and members are emitted in ascending original
+    index.
     """
     n, m = objs.shape
     if n == 0:
@@ -366,31 +277,23 @@ def nds_fronts_sweep(objs: np.ndarray) -> List[np.ndarray]:
     return list(np.split(by_level, bounds))
 
 
-def _unconstrained_fronts(
-    objs: np.ndarray, kernel: str, block_size: Optional[int] = None
-) -> List[np.ndarray]:
-    if kernel == "blocked":
-        if objs.shape[1] <= 2:
-            return nds_fronts_sweep(objs)
-        return nds_fronts_blocked(objs, block_size)
-    return nds_fronts_reference(objs)
+def _unconstrained_fronts(objs: np.ndarray) -> List[np.ndarray]:
+    if objs.shape[1] <= 2:
+        return nds_fronts_sweep(objs)
+    return nds_fronts_blocked(objs)
 
 
 def constrained_fronts(
     objectives: np.ndarray,
     violations: Optional[np.ndarray] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> List[np.ndarray]:
     """Constrained-dominance Pareto fronts (feasible first, then
     infeasible layered by aggregate violation).
 
-    This is the kernel-dispatching core of
-    :func:`repro.core.nds.fast_non_dominated_sort`; see there for the
-    full semantics description.
+    This is the core of :func:`repro.core.nds.fast_non_dominated_sort`;
+    see there for the full semantics description.
     """
-    kern = resolve_kernel(kernel)
-    _count_call("constrained_fronts", kern)
+    _count_call("constrained_fronts")
     objs = np.atleast_2d(np.asarray(objectives, dtype=float))
     n = objs.shape[0]
     if n == 0:
@@ -403,7 +306,7 @@ def constrained_fronts(
     fronts: List[np.ndarray] = []
     feas_idx = np.flatnonzero(feasible)
     if feas_idx.size:
-        for front in _unconstrained_fronts(objs[feas_idx], kern, block_size):
+        for front in _unconstrained_fronts(objs[feas_idx]):
             fronts.append(feas_idx[front])
 
     infeas_idx = np.flatnonzero(~feasible)
@@ -427,30 +330,21 @@ def constrained_fronts(
 def rank_and_crowd(
     objectives: np.ndarray,
     violations: Optional[np.ndarray] = None,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Global constrained front level and per-front crowding per point.
 
     Equivalent to running the constrained sort and then
-    :func:`crowding_distance` front by front; the blocked kernel batches
-    the crowding over all fronts with one segmented pass.
+    :func:`crowding_distance` front by front, with the crowding of all
+    fronts batched into one segmented pass.
     """
-    kern = resolve_kernel(kernel)
-    _count_call("rank_and_crowd", kern)
+    _count_call("rank_and_crowd")
     objs = np.atleast_2d(np.asarray(objectives, dtype=float))
     n = objs.shape[0]
     rank = np.zeros(n, dtype=int)
     crowd = np.zeros(n, dtype=float)
     if n == 0:
         return rank, crowd
-    fronts = constrained_fronts(objs, violations, kernel=kern, block_size=block_size)
-    if kern == "reference":
-        for level, front in enumerate(fronts):
-            rank[front] = level
-            crowd[front] = crowding_distance(objs[front])
-        return rank, crowd
-    for level, front in enumerate(fronts):
+    for level, front in enumerate(constrained_fronts(objs, violations)):
         rank[front] = level
     order = np.lexsort((rank,))  # stable: fronts contiguous, rows ascending
     new_seg = np.ones(n, dtype=bool)
@@ -464,32 +358,27 @@ def local_rank_and_crowd(
     violations: np.ndarray,
     partition: np.ndarray,
     n_partitions: int,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-partition constrained front level and crowding, all partitions
     in one pass.
 
-    Mirrors ``PartitionedPopulation._rank_locally``: within every
-    partition, feasible members are layered by objective dominance and
-    infeasible members follow in groups of equal aggregate violation;
-    crowding is computed inside each (partition, level) group.
+    Within every partition, feasible members are layered by objective
+    dominance and infeasible members follow in groups of equal aggregate
+    violation; crowding is computed inside each (partition, level) group.
 
-    For one or two objectives the blocked kernel sorts the feasible rows
-    partition-major (one lexsort) and runs a single
-    :func:`_sweep_levels` pass with a reset at every partition boundary
-    — each partition is a contiguous segment, so one ``O(N log N)``
-    sweep assigns every local front level at once.  For three or more
-    objectives it appends a ``(+pid, -pid)`` column pair to the
-    objectives, which makes rows of different partitions mutually
-    non-dominating (each is strictly smaller than the other on one of
-    the two columns), so one global non-dominated sort peels every
-    partition's local fronts simultaneously: a row's global peel depth
-    equals its depth within its own partition because dominance edges
-    never cross partitions.
+    For one or two objectives the feasible rows are sorted
+    partition-major (one lexsort) and a single :func:`_sweep_levels`
+    pass runs with a reset at every partition boundary — each partition
+    is a contiguous segment, so one ``O(N log N)`` sweep assigns every
+    local front level at once.  For three or more objectives a
+    ``(+pid, -pid)`` column pair is appended to the objectives, which
+    makes rows of different partitions mutually non-dominating (each is
+    strictly smaller than the other on one of the two columns), so one
+    global non-dominated sort peels every partition's local fronts
+    simultaneously: a row's global peel depth equals its depth within
+    its own partition because dominance edges never cross partitions.
     """
-    kern = resolve_kernel(kernel)
-    _count_call("local_rank_and_crowd", kern)
+    _count_call("local_rank_and_crowd")
     objs = np.atleast_2d(np.asarray(objectives, dtype=float))
     n = objs.shape[0]
     rank = np.zeros(n, dtype=int)
@@ -498,20 +387,6 @@ def local_rank_and_crowd(
         return rank, crowd
     viol = np.asarray(violations, dtype=float).reshape(n)
     pid = np.asarray(partition, dtype=int).reshape(n)
-
-    if kern == "reference":
-        for p in range(n_partitions):
-            members = np.flatnonzero(pid == p)
-            if members.size == 0:
-                continue
-            fronts = constrained_fronts(
-                objs[members], viol[members], kernel="reference"
-            )
-            for level, front in enumerate(fronts):
-                idx = members[front]
-                rank[idx] = level
-                crowd[idx] = crowding_distance(objs[idx])
-        return rank, crowd
 
     feasible = viol <= 0.0
     feas_idx = np.flatnonzero(feasible)
@@ -534,7 +409,7 @@ def local_rank_and_crowd(
             aug = np.concatenate(
                 [objs[feas_idx], fpid[:, None], -fpid[:, None]], axis=1
             )
-            for level, front in enumerate(nds_fronts_blocked(aug, block_size)):
+            for level, front in enumerate(nds_fronts_blocked(aug)):
                 rank[feas_idx[front]] = level
         np.maximum.at(n_feas_fronts, pid[feas_idx], rank[feas_idx] + 1)
 
@@ -556,7 +431,7 @@ def local_rank_and_crowd(
         rank[infeas_idx[order]] = n_feas_fronts[ps] + gid - base
 
     # One segmented crowding pass over every (partition, level) group;
-    # ties keep ascending row order, matching the reference loop.
+    # ties keep ascending row order, matching a per-partition loop.
     order = np.lexsort((rank, pid))
     new_seg = np.ones(n, dtype=bool)
     new_seg[1:] = (pid[order][1:] != pid[order][:-1]) | (
@@ -569,12 +444,35 @@ def local_rank_and_crowd(
 # ------------------------------------------------- environmental selection
 
 
+def _crowded_selection(
+    objs: np.ndarray, violations: Optional[np.ndarray], k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The *k* survivors of NSGA-II environmental selection and their
+    front levels, for ``0 <= k < len(objs)``.
+
+    Whole fronts are taken while they fit; the first front that
+    overflows is truncated by descending crowding distance.  Survivors
+    come in rank-major order.
+    """
+    keep_parts: List[np.ndarray] = []
+    level_parts: List[np.ndarray] = []
+    taken = 0
+    for level, front in enumerate(constrained_fronts(objs, violations)):
+        if taken + front.size > k:
+            dist = crowding_distance(objs[front])
+            front = front[np.argsort(-dist, kind="stable")[: k - taken]]
+        keep_parts.append(front)
+        level_parts.append(np.full(front.size, level, dtype=int))
+        taken += front.size
+        if taken == k:
+            break
+    return np.concatenate(keep_parts), np.concatenate(level_parts)
+
+
 def truncate_and_rank(
     objectives: np.ndarray,
     violations: Optional[np.ndarray],
     k: int,
-    kernel: Optional[str] = None,
-    block_size: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """NSGA-II environmental selection fused with survivor re-ranking.
 
@@ -584,93 +482,27 @@ def truncate_and_rank(
     level and crowding each survivor would get from re-sorting the
     selected subset.
 
-    The reference path runs the historical two full sorts (truncate,
-    then re-rank the subset).  The blocked path sorts **once**: complete
-    surviving fronts keep their levels (each front-``L`` member has a
-    dominator in front ``L-1``, all of which survive, so peel depths are
-    unchanged), and only the crowding of the partially-kept front differs
-    from the merged-pool values — recomputed for all fronts in one
-    segmented pass over the survivors in selection order, which is the
-    row order a re-sort of the subset would visit.
+    The merged pool is sorted **once**: complete surviving fronts keep
+    their levels (each front-``L`` member has a dominator in front
+    ``L-1``, all of which survive, so peel depths are unchanged), and
+    only the crowding of the partially-kept front differs from the
+    merged-pool values — recomputed for all fronts in one segmented
+    pass over the survivors in selection order, which is the row order a
+    re-sort of the subset would visit.
     """
-    kern = resolve_kernel(kernel)
-    _count_call("truncate_and_rank", kern)
+    _count_call("truncate_and_rank")
     objs = np.atleast_2d(np.asarray(objectives, dtype=float))
     n = objs.shape[0]
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-
-    if kern == "reference":
-        keep = _truncate_indices(objs, violations, k, "reference", block_size)
-        viol = None
-        if violations is not None:
-            viol = np.asarray(violations, dtype=float).reshape(n)[keep]
-        rank, crowd = rank_and_crowd(objs[keep], viol, kernel="reference")
-        return keep, rank, crowd
-
     if k >= n:
-        keep = np.arange(n)
-        rank, crowd = rank_and_crowd(
-            objs, violations, kernel=kern, block_size=block_size
-        )
-        return keep, rank, crowd
-
-    fronts = constrained_fronts(objs, violations, kernel=kern, block_size=block_size)
-    keep_parts: List[np.ndarray] = []
-    level_parts: List[np.ndarray] = []
-    taken = 0
-    for level, front in enumerate(fronts):
-        if taken + front.size <= k:
-            keep_parts.append(front)
-            level_parts.append(np.full(front.size, level, dtype=int))
-            taken += front.size
-            if taken == k:
-                break
-        else:
-            dist = crowding_distance(objs[front])
-            order = np.argsort(-dist, kind="stable")
-            part = front[order[: k - taken]]
-            keep_parts.append(part)
-            level_parts.append(np.full(part.size, level, dtype=int))
-            break
-    if not keep_parts:
-        empty = np.zeros(0, dtype=int)
-        return empty, empty.copy(), np.zeros(0, dtype=float)
-    keep = np.concatenate(keep_parts)
-    rank = np.concatenate(level_parts)
+        rank, crowd = rank_and_crowd(objs, violations)
+        return np.arange(n), rank, crowd
+    keep, rank = _crowded_selection(objs, violations, k)
     new_seg = np.ones(keep.size, dtype=bool)
     new_seg[1:] = rank[1:] != rank[:-1]
     crowd = _segmented_crowding(objs[keep], new_seg)
     return keep, rank, crowd
-
-
-def _truncate_indices(
-    objs: np.ndarray,
-    violations: Optional[np.ndarray],
-    k: int,
-    kernel: str,
-    block_size: Optional[int] = None,
-) -> np.ndarray:
-    """``crowded_truncate`` selection (shared by both kernel paths)."""
-    n = objs.shape[0]
-    if k >= n:
-        return np.arange(n)
-    chosen: List[np.ndarray] = []
-    taken = 0
-    for front in constrained_fronts(
-        objs, violations, kernel=kernel, block_size=block_size
-    ):
-        if taken + front.size <= k:
-            chosen.append(front)
-            taken += front.size
-            if taken == k:
-                break
-        else:
-            dist = crowding_distance(objs[front])
-            order = np.argsort(-dist, kind="stable")
-            chosen.append(front[order[: k - taken]])
-            break
-    return np.concatenate(chosen) if chosen else np.zeros(0, dtype=int)
 
 
 # --------------------------------------------------------- mating kernels

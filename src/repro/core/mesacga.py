@@ -66,8 +66,6 @@ class MESACGA(SACGA):
         mutation=None,
         seed: RngLike = None,
         config: Optional[SACGAConfig] = None,
-        backend=None,
-        kernel=None,
         metrics=None,
         tracer=None,
     ) -> None:
@@ -84,8 +82,6 @@ class MESACGA(SACGA):
             mutation=mutation,
             seed=seed,
             config=config,
-            backend=backend,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -170,9 +166,7 @@ class MESACGA(SACGA):
         # Expand partitions: same range, fewer slices, larger capacity.
         self.grid = self.grid.with_partitions(self.partition_schedule[idx])
         with self.tracer.span("expand_partitions"):
-            parted = PartitionedPopulation(
-                state["parted"].population, self.grid, kernel=self.kernel
-            )
+            parted = PartitionedPopulation(state["parted"].population, self.grid)
         state["parted"] = parted
         state["phase_idx"] = idx
         state["step_in_phase"] = 0

@@ -5,13 +5,9 @@ outranks every infeasible one, and infeasible solutions are layered by
 total violation.  This is the constraint handling used by NSGA-II and,
 per the paper, by all three compared algorithms.
 
-The heavy lifting lives in :mod:`repro.core.kernels`, which provides two
-interchangeable implementations — the historical per-row Python loop
-(``kernel="reference"``, the oracle) and a blocked full-matrix broadcast
-(``kernel="blocked"``, the default).  Every public function here takes a
-``kernel=`` argument; ``None`` uses the process-wide default
-(:func:`repro.core.kernels.set_default_kernel` / ``REPRO_KERNEL``).
-Both kernels return bit-identical results.
+The heavy lifting lives in :mod:`repro.core.kernels` (vectorized
+sweeps and blocked dominance matrices, bit-identical to Deb's per-row
+loops).
 """
 
 from __future__ import annotations
@@ -21,11 +17,9 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.kernels import (
-    _truncate_indices,
+    _crowded_selection,
     constrained_fronts,
     crowding_distance,
-    nds_fronts_reference,
-    resolve_kernel,
 )
 
 __all__ = [
@@ -39,7 +33,6 @@ __all__ = [
 def fast_non_dominated_sort(
     objectives: np.ndarray,
     violations: Optional[np.ndarray] = None,
-    kernel: Optional[str] = None,
 ) -> List[np.ndarray]:
     """Partition points into Pareto fronts F1, F2, ...
 
@@ -52,25 +45,17 @@ def fast_non_dominated_sort(
     constrained-dominance ordering without an O(n^2) pass over the
     infeasible subset.
     """
-    return constrained_fronts(objectives, violations, kernel=kernel)
-
-
-def _sort_unconstrained(objs: np.ndarray) -> List[np.ndarray]:
-    """Deb's fast non-dominated sort on feasible points only (oracle)."""
-    return nds_fronts_reference(objs)
+    return constrained_fronts(objectives, violations)
 
 
 def assign_ranks(
     objectives: np.ndarray,
     violations: Optional[np.ndarray] = None,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Per-point front index (0 = non-dominated) from the fast sort."""
     objs = np.atleast_2d(np.asarray(objectives, dtype=float))
     ranks = np.full(objs.shape[0], -1, dtype=int)
-    for level, front in enumerate(
-        fast_non_dominated_sort(objs, violations, kernel=kernel)
-    ):
+    for level, front in enumerate(fast_non_dominated_sort(objs, violations)):
         ranks[front] = level
     return ranks
 
@@ -79,7 +64,6 @@ def crowded_truncate(
     objectives: np.ndarray,
     violations: Optional[np.ndarray],
     k: int,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Select *k* indices by (rank, crowding) — NSGA-II environmental selection.
 
@@ -90,4 +74,6 @@ def crowded_truncate(
     objs = np.atleast_2d(np.asarray(objectives, dtype=float))
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    return _truncate_indices(objs, violations, k, resolve_kernel(kernel))
+    if k >= objs.shape[0]:
+        return np.arange(objs.shape[0])
+    return _crowded_selection(objs, violations, k)[0]

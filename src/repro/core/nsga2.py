@@ -34,9 +34,7 @@ class NSGA2(BaseOptimizer):
 
     def _rank_and_crowd(self, population: Population) -> None:
         """Assign global rank and per-front crowding distance in place."""
-        rank, crowding = rank_and_crowd(
-            population.objectives, population.violation, kernel=self.kernel
-        )
+        rank, crowding = rank_and_crowd(population.objectives, population.violation)
         population.rank[:] = rank
         population.crowding[:] = crowding
 
@@ -74,15 +72,11 @@ class NSGA2(BaseOptimizer):
         merged = population.concat(offspring)
         # Fused environmental selection: one non-dominated sort picks
         # the survivors AND yields their post-truncation (rank,
-        # crowding) — the reference kernel runs the historical
-        # truncate-then-resort pair instead.
+        # crowding).
         with self.tracer.span("rank"):
             with self.tracer.span("kernel:truncate_and_rank"):
                 keep, rank, crowding = truncate_and_rank(
-                    merged.objectives,
-                    merged.violation,
-                    self.population_size,
-                    kernel=self.kernel,
+                    merged.objectives, merged.violation, self.population_size
                 )
             population = merged.subset(keep)
         population.rank[:] = rank

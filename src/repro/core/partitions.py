@@ -140,21 +140,15 @@ class PartitionedPopulation:
     partition, which members are *locally superior* (the partition's own
     non-dominated feasible front) and maintains the local (rank, crowding)
     attributes used for local environmental selection.
-
-    *kernel* selects the ranking implementation
-    (``"blocked"``/``"reference"``, see :mod:`repro.core.kernels`);
-    ``None`` uses the process default.  Both produce identical rankings.
     """
 
     def __init__(
         self,
         population: Population,
         grid: PartitionGrid,
-        kernel: Optional[str] = None,
     ) -> None:
         self.population = population
         self.grid = grid
-        self.kernel = kernel
         self._assign_partitions()
         self._rank_locally()
 
@@ -170,10 +164,8 @@ class PartitionedPopulation:
     def _rank_locally(self) -> None:
         """Local constrained NDS + crowding within every partition.
 
-        All partitions are ranked in one batched kernel call (the blocked
-        kernel peels every partition's fronts from a single augmented
-        sort; the reference kernel loops partitions as the original code
-        did).
+        All partitions are ranked in one batched kernel call, which
+        peels every partition's fronts from a single sort.
         """
         pop = self.population
         rank, crowding = local_rank_and_crowd(
@@ -181,7 +173,6 @@ class PartitionedPopulation:
             pop.violation,
             pop.partition,
             self.grid.n_partitions,
-            kernel=self.kernel,
         )
         pop.rank[:] = rank
         pop.crowding[:] = crowding
@@ -252,4 +243,4 @@ class PartitionedPopulation:
 
     def rebuild(self, population: Population) -> "PartitionedPopulation":
         """New partitioned view of *population* under the same grid."""
-        return PartitionedPopulation(population, self.grid, kernel=self.kernel)
+        return PartitionedPopulation(population, self.grid)

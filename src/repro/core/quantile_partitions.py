@@ -200,5 +200,5 @@ class AdaptiveSACGA(SACGA):
                 high=self.grid.high,
             )
             self.grid = new_grid
-            out = PartitionedPopulation(out.population, new_grid, kernel=self.kernel)
+            out = PartitionedPopulation(out.population, new_grid)
         return out

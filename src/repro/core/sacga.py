@@ -119,8 +119,6 @@ class SACGA(BaseOptimizer):
         mutation=None,
         seed: RngLike = None,
         config: Optional[SACGAConfig] = None,
-        backend=None,
-        kernel=None,
         metrics=None,
         tracer=None,
     ) -> None:
@@ -130,8 +128,6 @@ class SACGA(BaseOptimizer):
             crossover=crossover,
             mutation=mutation,
             seed=seed,
-            backend=backend,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -204,9 +200,7 @@ class SACGA(BaseOptimizer):
         with self.tracer.span("rank"):
             merged = pop.concat(offspring)
             with self.tracer.span("kernel:local_rank_and_crowd"):
-                merged_view = PartitionedPopulation(
-                    merged, self.grid, kernel=self.kernel
-                )
+                merged_view = PartitionedPopulation(merged, self.grid)
             # Carry the global-competition demotions into survival: a
             # dominated participant keeps its elimination risk even after
             # local re-ranking of the merged pool (parent rows come first
@@ -217,9 +211,7 @@ class SACGA(BaseOptimizer):
                 self._capacity(len(live)), live
             )
             with self.tracer.span("kernel:local_rank_and_crowd"):
-                return PartitionedPopulation(
-                    survivors, self.grid, kernel=self.kernel
-                )
+                return PartitionedPopulation(survivors, self.grid)
 
     def _revise_ranks(
         self,
@@ -252,9 +244,7 @@ class SACGA(BaseOptimizer):
         if pool.size == 0:
             return revised, 0
 
-        global_rank = assign_ranks(
-            pop.objectives[pool], pop.violation[pool], kernel=self.kernel
-        )
+        global_rank = assign_ranks(pop.objectives[pool], pop.violation[pool])
         if self.config.demote_dominated:
             # Globally superior keep rank 0; dominated participants are
             # demoted below every locally-superior non-participant.
@@ -292,7 +282,7 @@ class SACGA(BaseOptimizer):
         self._gate_considered = 0
         self._gate_exposed = 0
         population = self._initial_population(initial_x)
-        parted = PartitionedPopulation(population, self.grid, kernel=self.kernel)
+        parted = PartitionedPopulation(population, self.grid)
         self.history.record(0, parted.population, self._n_evaluations, force=True)
         self.callbacks(0, parted.population)
         return {

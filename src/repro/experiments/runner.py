@@ -23,7 +23,6 @@ from repro.circuits.sizing_problem import C_LOAD_MAX, IntegratorSizingProblem
 from repro.circuits.specs import IntegratorSpec
 from repro.core.callbacks import ProgressCallback, WallClockTimeout
 from repro.core.checkpoint import CheckpointCallback, load_checkpoint
-from repro.core.evaluation import EvaluationBackend, make_backend
 from repro.core.kernels import kernel_call_counts
 from repro.core.mesacga import MESACGA, PAPER_SCHEDULE
 from repro.core.nsga2 import NSGA2
@@ -121,8 +120,6 @@ def make_algorithm(
     partition_schedule: Optional[Sequence[int]] = None,
     config: Optional[SACGAConfig] = None,
     generations: Optional[int] = None,
-    backend: Optional[EvaluationBackend] = None,
-    kernel: Optional[str] = None,
     metrics=None,
     tracer=None,
 ):
@@ -131,11 +128,7 @@ def make_algorithm(
     *name* is one of ``"tpg"`` (NSGA-II, the paper's Traditional Purely
     Global baseline), ``"sacga"`` or ``"mesacga"``.  When *config* is not
     given, the Phase-I cap is derived from the generation budget so that
-    reduced-scale runs keep the paper's phase proportions.  *backend*
-    (an :class:`repro.core.evaluation.EvaluationBackend`) selects how
-    fitness batches are evaluated; ``None`` keeps the serial default.
-    *kernel* selects the dominance/selection kernel
-    (``"blocked"``/``"reference"``; both are bit-identical in output).
+    reduced-scale runs keep the paper's phase proportions.
     *metrics* / *tracer* (a :class:`repro.obs.MetricsRegistry` /
     :class:`repro.obs.SpanTracer`) enable instrumentation; ``None`` keeps
     the no-op defaults.
@@ -149,8 +142,6 @@ def make_algorithm(
             problem,
             population_size=scale.population,
             seed=seed,
-            backend=backend,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -162,8 +153,6 @@ def make_algorithm(
             population_size=scale.population,
             seed=seed,
             config=config,
-            backend=backend,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -177,8 +166,6 @@ def make_algorithm(
             population_size=scale.population,
             seed=seed,
             config=config,
-            backend=backend,
-            kernel=kernel,
             metrics=metrics,
             tracer=tracer,
         )
@@ -231,10 +218,6 @@ def run_one(
     spec: Optional[IntegratorSpec] = None,
     seed_index: int = 0,
     problem: Optional[IntegratorSizingProblem] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    cache_size: Optional[int] = None,
-    kernel: Optional[str] = None,
     use_corners: bool = True,
     mc_seed: int = 2005,
     checkpoint_path: Optional[str] = None,
@@ -251,12 +234,7 @@ def run_one(
     """Run one algorithm once and score its front.
 
     Seeds are derived deterministically from ``(experiment_id, name,
-    seed_index)`` so benchmarks are reproducible run to run.  *backend*
-    (``"serial"`` / ``"thread"`` / ``"process"`` / ``"shm"``), *workers*
-    and *cache_size* configure the evaluation backend; the pool — and,
-    for ``"shm"``, its shared-memory arenas — is shut down once the run
-    finishes.  *kernel* picks the dominance/selection
-    kernel (``"blocked"``/``"reference"``) — a pure speed knob.
+    seed_index)`` so benchmarks are reproducible run to run.
 
     Robustness knobs:
 
@@ -304,10 +282,9 @@ def run_one(
     else:
         registry = None
     tracer = SpanTracer() if registry is not None else None
-    eval_backend = make_backend(backend, workers=workers, cache_size=cache_size)
     algorithm = make_algorithm(
-        name, problem, scale, seed, generations=gens, backend=eval_backend,
-        kernel=kernel, metrics=registry, tracer=tracer, **algo_kwargs,
+        name, problem, scale, seed, generations=gens,
+        metrics=registry, tracer=tracer, **algo_kwargs,
     )
     telemetry = None
     if registry is not None:
@@ -339,10 +316,6 @@ def run_one(
             "seed_index": seed_index,
             "scale": asdict(scale),
             "generations": gens,
-            "backend": backend,
-            "workers": workers,
-            "cache_size": cache_size,
-            "kernel": kernel,
             "use_corners": use_corners,
             "mc_seed": mc_seed,
             "checkpoint_every": checkpoint_every,
@@ -371,7 +344,7 @@ def run_one(
             seed=seed,
             generations=gens,
             scale=scale.label,
-            backend=eval_backend.describe(),
+            backend=algorithm.backend.describe(),
             resumed=resume_from is not None,
         )
     try:
@@ -384,8 +357,6 @@ def run_one(
                 error=f"{type(exc).__name__}: {exc}",
             )
         raise
-    finally:
-        eval_backend.close()
     scores = score_front(result.front_objectives)
     if run_ledger is not None:
         run_ledger.emit(
@@ -396,7 +367,7 @@ def run_one(
             front_size=result.front_size,
             hv_paper=scores["hv_paper"],
             coverage=scores["coverage"],
-            backend_stats=eval_backend.stats.as_dict(),
+            backend_stats=algorithm.backend.stats.as_dict(),
         )
     metrics_paths = None
     if metrics_out is not None and registry is not None:
@@ -447,6 +418,9 @@ def resume_run(
     Checkpointing continues to the same file.  *callbacks* are appended
     to the resumed run exactly as in :func:`run_one` — the service-layer
     workers use this to keep cancellation cooperative across a resume.
+    Contexts written before the evaluation-backend and kernel options
+    were removed still hold ``backend``/``workers``/``cache_size``/
+    ``kernel`` keys; they are ignored.
     """
     payload = load_checkpoint(checkpoint_path)
     context = payload.get("context")
@@ -462,10 +436,6 @@ def resume_run(
         scale=scale,
         generations=context["generations"],
         seed_index=context["seed_index"],
-        backend=context["backend"],
-        workers=context["workers"],
-        cache_size=context["cache_size"],
-        kernel=context["kernel"],
         use_corners=context.get("use_corners", True),
         mc_seed=context.get("mc_seed", 2005),
         checkpoint_path=checkpoint_path,

@@ -12,8 +12,8 @@ and a tidy per-generation sample table:
 * per-partition occupancy and non-dominated counts (which partitions
   starve during Phase II),
 * feasibility ratio, global front size, archive size,
-* backend cache hit rate and evaluation counters,
-* kernel dispatch counts.
+* evaluation counters and time,
+* kernel call counts.
 
 Everything is *read* from state the optimizer already computed — the
 callback never mutates the optimizer, never touches its RNG, and
@@ -74,8 +74,8 @@ class TelemetryCallback:
         ``observe`` callback must still be attached separately (this
         callback only reads it).
     kernel_counts:
-        Optional zero-arg callable returning cumulative kernel dispatch
-        counts as ``{"fn/kernel": n}`` (see
+        Optional zero-arg callable returning cumulative kernel call
+        counts as ``{"fn": n}`` (see
         :func:`repro.core.kernels.kernel_call_counts`).  Passed in as a
         callable so this module stays import-independent of the core.
     """
@@ -96,12 +96,6 @@ class TelemetryCallback:
             dict(kernel_counts()) if kernel_counts is not None else {}
         )
         self._evals_prev = int(getattr(optimizer, "_n_evaluations", 0))
-        stats = optimizer.backend.stats
-        self._cache_prev = (int(stats.cache_hits), int(stats.cache_misses))
-        self._bytes_prev = (
-            int(getattr(stats, "bytes_shared", 0)),
-            int(getattr(stats, "bytes_pickled", 0)),
-        )
         self._gate_prev = (0, 0)  # (considered, exposed) cumulative
 
         # --- instrument handles, resolved once (never on the hot loop) ---
@@ -174,27 +168,10 @@ class TelemetryCallback:
         self._archive_seen_prev = (
             int(getattr(archive, "n_observed", 0)) if archive is not None else 0
         )
-        self._g_cache_ratio = registry.gauge(
-            "repro_cache_hit_ratio", "Evaluation cache hit fraction (cumulative)"
-        )
-        self._c_cache_hits = registry.counter(
-            "repro_cache_hits_total", "Evaluation cache hits"
-        )
-        self._c_cache_misses = registry.counter(
-            "repro_cache_misses_total", "Evaluation cache misses"
-        )
-        self._c_bytes_shared = registry.counter(
-            "repro_backend_bytes_shared_total",
-            "Genome/result bytes moved through shared-memory segments",
-        )
-        self._c_bytes_pickled = registry.counter(
-            "repro_backend_bytes_pickled_total",
-            "Payload bytes pickled across the pool-worker boundary",
-        )
         self._c_kernel_calls = registry.counter(
             "repro_kernel_calls_total",
-            "Dominance/selection kernel dispatches",
-            labels=("fn", "kernel"),
+            "Dominance/selection kernel calls",
+            labels=("fn",),
         )
 
     # ------------------------------------------------------------- sampling
@@ -315,34 +292,7 @@ class TelemetryCallback:
                 sample[f"island_size_{i}"] = float(island.size)
 
     def _sample_backend(self, sample: Dict[str, Optional[float]]) -> None:
-        stats = self.optimizer.backend.stats
-        hits, misses = int(stats.cache_hits), int(stats.cache_misses)
-        d_hits = hits - self._cache_prev[0]
-        d_misses = misses - self._cache_prev[1]
-        if d_hits > 0:
-            self._c_cache_hits.inc(d_hits)
-        if d_misses > 0:
-            self._c_cache_misses.inc(d_misses)
-        self._cache_prev = (hits, misses)
-        if hits or misses:
-            ratio = hits / (hits + misses)
-            self._g_cache_ratio.set(ratio)
-            sample["cache_hit_ratio"] = ratio
-        shared = int(getattr(stats, "bytes_shared", 0))
-        pickled = int(getattr(stats, "bytes_pickled", 0))
-        d_shared = shared - self._bytes_prev[0]
-        d_pickled = pickled - self._bytes_prev[1]
-        if d_shared > 0:
-            self._c_bytes_shared.inc(d_shared)
-        if d_pickled > 0:
-            self._c_bytes_pickled.inc(d_pickled)
-        self._bytes_prev = (shared, pickled)
-        # IPC keys appear only for backends that moved bytes, so serial
-        # and thread telemetry tables keep their historical shape.
-        if shared or pickled:
-            sample["backend_bytes_shared"] = float(shared)
-            sample["backend_bytes_pickled"] = float(pickled)
-        sample["eval_time_s"] = _finite(stats.eval_time)
+        sample["eval_time_s"] = _finite(self.optimizer.backend.stats.eval_time)
 
     def _sample_archive(self, sample: Dict[str, Optional[float]]) -> None:
         if self.archive is None:
@@ -360,11 +310,10 @@ class TelemetryCallback:
             return
         counts = self._kernel_counts()
         total_delta = 0
-        for key, count in counts.items():
-            delta = int(count) - self._kernel_prev.get(key, 0)
+        for fn, count in counts.items():
+            delta = int(count) - self._kernel_prev.get(fn, 0)
             if delta > 0:
-                fn, _, kernel = key.partition("/")
-                self._c_kernel_calls.labels(fn=fn, kernel=kernel).inc(delta)
+                self._c_kernel_calls.labels(fn=fn).inc(delta)
                 total_delta += delta
         self._kernel_prev = dict(counts)
         if total_delta:

@@ -116,7 +116,7 @@ class Problem:
     matrices.  Scalar-only subclasses may instead implement
     :meth:`_evaluate_one` for a single design row; the base class then
     provides ``_evaluate`` as a row loop, so third-party problems get
-    the batched API (and every backend) for free, just without the
+    the batched API (and the evaluation backend) for free, just without the
     vectorization speedup.  Everything else (bounds bookkeeping,
     clipping, sampling) lives here.
 
@@ -214,9 +214,7 @@ class Problem:
         """Evaluate a single ``(n_var,)`` design as a one-row batch.
 
         This is the scalar reference path the bit-identity harness loops
-        against :meth:`evaluate_batch`; it shares cache keys with the
-        batched path under :class:`~repro.core.evaluation.CachedBackend`
-        because both hash the same canonical float64 row bytes.
+        against :meth:`evaluate_batch`.
         """
         row = np.asarray(x, dtype=float)
         if row.ndim != 1 or row.size != self.n_var:

@@ -148,7 +148,7 @@ class ServeClient:
         """Start (or resume) a robustness campaign over a surface.
 
         *payload* needs at least ``{"surface": name}``; see the server's
-        ``POST /campaigns`` contract for the optional spec/backend keys.
+        ``POST /campaigns`` contract for the optional keys.
         """
         extra = {"X-Trace-Id": trace_id} if trace_id else None
         return self._request(

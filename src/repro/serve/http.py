@@ -72,6 +72,12 @@ __all__ = ["ServeApp", "ReproServer", "MAX_BODY_BYTES"]
 #: Submissions are tiny JSON objects; anything bigger is a client bug.
 MAX_BODY_BYTES = 1 << 20
 
+#: Keys a ``POST /campaigns`` body may carry (anything else is a 400, so
+#: a misspelt ``version`` cannot silently fall back to the latest one).
+CAMPAIGN_BODY_KEYS = frozenset(
+    {"surface", "spec", "version", "campaign_id", "derated_surface"}
+)
+
 _PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
@@ -268,8 +274,8 @@ class ServeApp:
         """Start (or resume) a robustness campaign over a surface.
 
         Body: ``{"surface": name, "spec": {...}, "version": N,
-        "campaign_id": ..., "derated_surface": ..., "backend": ...,
-        "workers": N}`` — only ``surface`` is required.  One durable
+        "campaign_id": ..., "derated_surface": ...}`` — only ``surface``
+        is required, and any other key is rejected.  One durable
         ``campaign_shard`` job is submitted per pending shard, all
         sharing the campaign's trace id.  Re-POSTing an existing
         ``campaign_id`` submits only the shards that are neither done
@@ -284,6 +290,12 @@ class ServeApp:
             raise ValueError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
+        unknown = sorted(set(payload) - CAMPAIGN_BODY_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown campaign parameters {unknown} "
+                f"(allowed: {sorted(CAMPAIGN_BODY_KEYS)})"
+            )
         if "surface" not in payload:
             raise ValueError("campaign needs a 'surface' to sweep")
         campaign_id = payload.get("campaign_id")
@@ -319,15 +331,11 @@ class ServeApp:
         for shard_index in self.campaigns.pending_shards(manifest):
             if shard_index in active:
                 continue
-            params: Dict[str, Any] = {
+            params = {
                 "campaign_id": cid,
                 "campaign_root": str(self.campaigns.root),
                 "shard_index": shard_index,
             }
-            if payload.get("backend") is not None:
-                params["backend"] = payload["backend"]
-            if payload.get("workers") is not None:
-                params["workers"] = int(payload["workers"])
             job = self.manager.submit(
                 params, kind="campaign_shard", trace_id=manifest["trace_id"]
             )

@@ -45,7 +45,6 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-from repro.core.evaluation import BACKEND_NAMES
 from repro.experiments.runner import resume_run, run_many, run_one
 from repro.obs.logging import get_logger
 from repro.obs.registry import NULL_METRICS
@@ -104,10 +103,6 @@ JOB_PARAMS = frozenset(
         "seed_index",
         "experiment_id",
         "n_partitions",
-        "backend",
-        "workers",
-        "cache_size",
-        "kernel",
         "surface",
         "timeout_s",
         "checkpoint_every",
@@ -119,10 +114,8 @@ JOB_PARAMS = frozenset(
 _ALGORITHMS = ("tpg", "sacga", "mesacga")
 
 #: Parameters of a ``campaign_shard`` job: the shard is fully described
-#: by its campaign directory and index; backend/workers are speed knobs.
-CAMPAIGN_JOB_PARAMS = frozenset(
-    {"campaign_id", "campaign_root", "shard_index", "backend", "workers"}
-)
+#: by its campaign directory and index.
+CAMPAIGN_JOB_PARAMS = frozenset({"campaign_id", "campaign_root", "shard_index"})
 
 
 class JobManager:
@@ -332,15 +325,6 @@ class JobManager:
                     f"job needs algorithm in {_ALGORITHMS}, got {algorithm!r}"
                 )
             params["algorithm"] = algorithm
-        backend = params.get("backend")
-        if backend is not None:
-            # Fail a bad backend name at submit time, not inside a worker.
-            backend = str(backend).strip().lower()
-            if backend not in BACKEND_NAMES:
-                raise ValueError(
-                    f"job needs backend in {list(BACKEND_NAMES)}, got {backend!r}"
-                )
-            params["backend"] = backend
         surface_name = params.get("surface")
         if surface_name is not None:
             # Fail a bad surface name at submit time, not in the worker.

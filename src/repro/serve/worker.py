@@ -402,13 +402,12 @@ class WorkerLoop:
                     "attempt": record.attempt,
                 },
             )
+        # Rows submitted before the backend/kernel options were removed
+        # may still carry backend/workers/cache_size/kernel: only the
+        # keys read here reach the runner, so those are ignored.
         common = dict(
             scale=scale,
             generations=scale.generations,
-            backend=params.get("backend"),
-            workers=params.get("workers"),
-            cache_size=params.get("cache_size"),
-            kernel=params.get("kernel"),
             ledger=ledger,
             timeout_s=params.get("timeout_s"),
             callbacks=[token],
@@ -517,12 +516,7 @@ class WorkerLoop:
         )
         manifest = runner.load(str(params["campaign_id"]))
         shard_index = int(params["shard_index"])
-        shard = runner.run_shard(
-            manifest,
-            shard_index,
-            backend=params.get("backend"),
-            workers=params.get("workers"),
-        )
+        shard = runner.run_shard(manifest, shard_index)
         if cancel_event.is_set():
             raise JobCancelled("job cancelled mid-shard")
         finalized = False

@@ -75,15 +75,6 @@ class TestEvaluateShard:
         assert result.n_designs == len(designs)
         assert result.n_evaluations == len(designs)
 
-    def test_backend_equivalence(self, tiny_spec, designs):
-        scenarios = expand_scenarios(tiny_spec)
-        serial = evaluate_shard(tiny_spec, scenarios, designs, backend="serial")
-        threaded = evaluate_shard(
-            tiny_spec, scenarios, designs, backend="thread", workers=2
-        )
-        assert serial.power.tobytes() == threaded.power.tobytes()
-        assert serial.passes.tobytes() == threaded.passes.tobytes()
-
     def test_canary_passes_nominal(self, designs):
         # The known-feasible design should pass most MC samples at TT/nom.
         spec = CampaignSpec(corners=("TT",), n_mc=8, shard_scenarios=8)

@@ -1,9 +1,9 @@
 """Same seed + same config => byte-identical serialized results.
 
-This is the regression net under the evaluation-backend layer: if any
-future change to evaluation order, chunking, or caching perturbs the
-optimization trajectory, the serialized payloads stop matching at the
-byte level and this file fails first.  Timing fields are stripped via
+This is the regression net under the evaluation and kernel layers: if
+any future change to evaluation order or to the ranking kernels perturbs
+the optimization trajectory, the serialized payloads stop matching at
+the byte level and this file fails first.  Timing fields are stripped via
 ``result_to_dict(include_timing=False)`` — everything else must match
 exactly.
 """
@@ -16,14 +16,6 @@ import numpy as np
 import pytest
 
 from repro.circuits.sizing_problem import IntegratorSizingProblem
-from repro.core.evaluation import (
-    SHM_SEGMENT_PREFIX,
-    CachedBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    SharedMemoryBackend,
-    ThreadPoolBackend,
-)
 from repro.core.islands import IslandNSGA2
 from repro.core.kernels import kernel_call_counts
 from repro.core.mesacga import MESACGA
@@ -35,6 +27,7 @@ from repro.obs.spans import SpanTracer
 from repro.obs.telemetry import TelemetryCallback
 from repro.problems.synthetic import ClusteredFeasibility
 from repro.utils.serialization import result_to_dict, save_result
+from tests.core.reference_kernels import use_reference_kernels
 
 POP = 16
 GENS = 5
@@ -43,7 +36,7 @@ SEED = 1234
 ALL_ALGOS = ["nsga2", "sacga", "mesacga", "islands"]
 
 
-def build(name, backend=None, problem=None, kernel=None, metrics=None, tracer=None):
+def build(name, problem=None, metrics=None, tracer=None):
     if problem is None:
         problem = ClusteredFeasibility(n_var=4)
     high = 1.0
@@ -52,27 +45,25 @@ def build(name, backend=None, problem=None, kernel=None, metrics=None, tracer=No
     config = SACGAConfig(phase1_max_iterations=2)
     if name == "nsga2":
         return NSGA2(
-            problem, population_size=POP, seed=SEED, backend=backend,
-            kernel=kernel, metrics=metrics, tracer=tracer,
+            problem, population_size=POP, seed=SEED,
+            metrics=metrics, tracer=tracer,
         )
     if name == "sacga":
         grid = PartitionGrid(axis=1, low=0.0, high=high, n_partitions=4)
         return SACGA(
             problem, grid, population_size=POP, seed=SEED,
-            config=config, backend=backend, kernel=kernel,
-            metrics=metrics, tracer=tracer,
+            config=config, metrics=metrics, tracer=tracer,
         )
     if name == "mesacga":
         return MESACGA(
             problem, axis=1, low=0.0, high=high, partition_schedule=(4, 2, 1),
-            population_size=POP, seed=SEED, config=config, backend=backend,
-            kernel=kernel, metrics=metrics, tracer=tracer,
+            population_size=POP, seed=SEED, config=config,
+            metrics=metrics, tracer=tracer,
         )
     if name == "islands":
         return IslandNSGA2(
             problem, population_size=POP, n_islands=2, migration_interval=2,
-            seed=SEED, backend=backend, kernel=kernel,
-            metrics=metrics, tracer=tracer,
+            seed=SEED, metrics=metrics, tracer=tracer,
         )
     raise KeyError(name)
 
@@ -142,29 +133,6 @@ def test_distributed_observability_is_byte_invisible(algo, tmp_path):
     assert all(e["trace_id"] == "det-trace" for e in events)
 
 
-@pytest.mark.parametrize("algo", ["nsga2", "sacga", "mesacga"])
-def test_serial_and_thread_backends_serialize_byte_identical(algo):
-    serial_blob = serialized(build(algo, SerialBackend()).run(GENS))
-    with ThreadPoolBackend(n_workers=3) as backend:
-        thread_blob = serialized(build(algo, backend).run(GENS))
-    # The backend echo in metadata legitimately differs; everything else
-    # (fronts, history, counters) must not.
-    a = json.loads(serial_blob)
-    b = json.loads(thread_blob)
-    for payload in (a, b):
-        payload["metadata"].pop("backend")
-        payload["metadata"].pop("backend_stats")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
-def test_cached_backend_serializes_identical_fronts():
-    plain = json.loads(serialized(build("nsga2").run(GENS)))
-    cached = json.loads(serialized(build("nsga2", CachedBackend()).run(GENS)))
-    assert plain["front_objectives"] == cached["front_objectives"]
-    assert plain["front_x"] == cached["front_x"]
-    assert plain["n_evaluations"] == cached["n_evaluations"]
-
-
 def test_saved_files_byte_identical(tmp_path):
     path_a = tmp_path / "a.json"
     path_b = tmp_path / "b.json"
@@ -186,27 +154,26 @@ def test_include_timing_strips_wall_clock_fields():
 
 
 @pytest.mark.parametrize("algo", ["nsga2", "sacga", "mesacga"])
-def test_blocked_and_reference_kernels_serialize_byte_identical(algo):
-    """The kernel switch is a pure speed knob: full serialized payloads —
-    fronts, per-generation history, metadata — match at the byte level.
-    (The kernel is deliberately not echoed into result metadata so this
-    comparison needs no field stripping.)"""
-    blocked = serialized(build(algo, kernel="blocked").run(GENS))
-    reference = serialized(build(algo, kernel="reference").run(GENS))
+def test_blocked_and_reference_kernels_serialize_byte_identical(algo, monkeypatch):
+    """The library kernels match the textbook loops over whole runs: full
+    serialized payloads — fronts, per-generation history, metadata —
+    match at the byte level when the oracle is swapped in."""
+    blocked = serialized(build(algo).run(GENS))
+    assert use_reference_kernels(monkeypatch) > 0
+    reference = serialized(build(algo).run(GENS))
     assert blocked == reference
 
 
 @pytest.mark.parametrize("algo", ["nsga2", "sacga", "mesacga"])
-def test_kernels_byte_identical_on_integrator_problem(algo):
+def test_kernels_byte_identical_on_integrator_problem(algo, monkeypatch):
     """Same contract on the real circuit-sizing problem (constraints,
     Monte-Carlo evaluation, physical partition range)."""
     blocked = serialized(
-        build(algo, problem=IntegratorSizingProblem(n_mc=2), kernel="blocked").run(GENS)
+        build(algo, problem=IntegratorSizingProblem(n_mc=2)).run(GENS)
     )
+    assert use_reference_kernels(monkeypatch) > 0
     reference = serialized(
-        build(
-            algo, problem=IntegratorSizingProblem(n_mc=2), kernel="reference"
-        ).run(GENS)
+        build(algo, problem=IntegratorSizingProblem(n_mc=2)).run(GENS)
     )
     assert blocked == reference
 
@@ -230,9 +197,8 @@ GOLDEN_PROBLEMS = {
 }
 
 
-def golden_run(algo, problem_key, backend=None, kernel=None):
-    return build(algo, backend=backend, problem=GOLDEN_PROBLEMS[problem_key](),
-                 kernel=kernel).run(GENS)
+def golden_run(algo, problem_key):
+    return build(algo, problem=GOLDEN_PROBLEMS[problem_key]()).run(GENS)
 
 
 def golden_digest(result):
@@ -249,11 +215,15 @@ def load_golden():
 @pytest.mark.parametrize("problem_key", sorted(GOLDEN_PROBLEMS))
 @pytest.mark.parametrize("algo", ALL_ALGOS)
 @pytest.mark.parametrize("kernel", ["blocked", "reference"])
-def test_golden_fronts_all_algorithms_both_kernels(algo, problem_key, kernel):
+def test_golden_fronts_all_algorithms_both_kernels(
+    algo, problem_key, kernel, monkeypatch
+):
     """All four optimizers reproduce the pre-refactor goldens byte-for-byte
-    under the serial backend with either NDS kernel."""
+    with the library kernels and with the textbook loops swapped in."""
+    if kernel == "reference":
+        assert use_reference_kernels(monkeypatch) > 0
     want = load_golden()[f"{algo}/{problem_key}"]
-    got = golden_digest(golden_run(algo, problem_key, SerialBackend(), kernel))
+    got = golden_digest(golden_run(algo, problem_key))
     assert got == want, (
         f"{algo}/{problem_key} (kernel={kernel}) diverged from the "
         f"pre-refactor golden: {got} != {want}"
@@ -262,59 +232,11 @@ def test_golden_fronts_all_algorithms_both_kernels(algo, problem_key, kernel):
 
 @pytest.mark.parametrize("algo", ALL_ALGOS)
 def test_golden_fronts_default_backend(algo):
-    """The no-backend default path hits the same goldens."""
-    want = load_golden()[f"{algo}/clustered"]
-    assert golden_digest(golden_run(algo, "clustered")) == want
-
-
-@pytest.mark.parametrize("algo", ["nsga2", "sacga", "mesacga"])
-def test_golden_fronts_survive_pool_backends(algo):
-    """Chunked pool evaluation cannot perturb the trajectory: after
-    stripping the backend echo from metadata, thread- and process-backend
-    runs serialize identically to the golden-matching serial run."""
-    def stripped(result):
-        payload = result_to_dict(result, include_timing=False)
-        payload["metadata"].pop("backend")
-        payload["metadata"].pop("backend_stats")
-        return json.dumps(payload, sort_keys=True)
-
-    serial_result = golden_run(algo, "clustered", SerialBackend())
-    assert golden_digest(serial_result) == load_golden()[f"{algo}/clustered"]
-    with ThreadPoolBackend(n_workers=3) as thread_backend:
-        thread = stripped(golden_run(algo, "clustered", thread_backend))
-    with ProcessPoolBackend(n_workers=2) as process_backend:
-        process = stripped(golden_run(algo, "clustered", process_backend))
-    serial = stripped(serial_result)
-    assert thread == serial
-    assert process == serial
-
-
-@pytest.mark.parametrize("problem_key", sorted(GOLDEN_PROBLEMS))
-@pytest.mark.parametrize("algo", ALL_ALGOS)
-def test_golden_fronts_survive_shm_backend(algo, problem_key):
-    """The shared-memory transport is byte-invisible: for all four
-    optimizers on both golden problems, an shm-backend run serializes
-    identically (modulo the backend echo) to the golden-matching serial
-    run — and leaves nothing behind in /dev/shm."""
-    import os
-
-    def stripped(result):
-        payload = result_to_dict(result, include_timing=False)
-        payload["metadata"].pop("backend")
-        payload["metadata"].pop("backend_stats")
-        return json.dumps(payload, sort_keys=True)
-
-    serial_result = golden_run(algo, problem_key, SerialBackend())
-    assert golden_digest(serial_result) == load_golden()[f"{algo}/{problem_key}"]
-    with SharedMemoryBackend(n_workers=2) as shm_backend:
-        shm = stripped(golden_run(algo, problem_key, shm_backend))
-        assert shm_backend.stats.fallbacks == 0
-    assert shm == stripped(serial_result)
-    leaked = [
-        name for name in os.listdir("/dev/shm")
-        if name.startswith(SHM_SEGMENT_PREFIX)
-    ]
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
+    """The default evaluation path hits the same goldens, and its
+    metadata still echoes the serial backend the goldens were taken on."""
+    result = golden_run(algo, "clustered")
+    assert result.metadata["backend"] == {"name": "serial"}
+    assert golden_digest(result) == load_golden()[f"{algo}/clustered"]
 
 
 def test_different_seeds_actually_differ():

@@ -1,35 +1,48 @@
-"""Blocked-vs-reference kernel equivalence: bit-identical, not just close.
+"""Library-kernel-vs-oracle equivalence: bit-identical, not just close.
 
-The ``blocked`` kernel (broadcast dominance matrix, 2-objective sweep,
+The library kernels (broadcast dominance matrix, 2-objective sweep,
 segmented crowding, fused truncate+re-rank) must return *exactly* the
-arrays the historical ``reference`` implementations return — same
-fronts, same member order, same integer ranks, same IEEE-754 crowding
-floats.  Anything weaker would let the two kernels drift apart and
-silently change optimizer trajectories.
+arrays the textbook loops in ``tests/core/reference_kernels.py`` return
+— same fronts, same member order, same integer ranks, same IEEE-754
+crowding floats.  Anything weaker would let the kernels drift from the
+algorithm they implement and silently change optimizer trajectories.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.kernels import (
-    KERNEL_NAMES,
     _segmented_crowding,
     constrained_fronts,
     crowding_distance,
-    get_default_kernel,
     local_rank_and_crowd,
     nds_fronts_blocked,
-    nds_fronts_reference,
     nds_fronts_sweep,
     rank_and_crowd,
-    resolve_kernel,
-    set_default_kernel,
     truncate_and_rank,
 )
+from repro.core.nds import crowded_truncate
+from tests.core import reference_kernels as ref
 
-BLOCK_SIZES = (1, 3, 64, None)
+#: Row-block sizes of the blocked dominance matrix to exercise (the
+#: library default among them), so block boundaries fall inside fronts.
+BLOCK_SIZES = (1, 3, 64, kernels._BLOCK_SIZE)
+
+
+@contextmanager
+def block_size(rows):
+    """Run the blocked dominance matrix with *rows* per block."""
+    saved = kernels._BLOCK_SIZE
+    kernels._BLOCK_SIZE = rows
+    try:
+        yield
+    finally:
+        kernels._BLOCK_SIZE = saved
 
 
 def random_case(seed, n_max=50, m_choices=(1, 2, 3, 4), tie_prob=0.6):
@@ -50,30 +63,6 @@ def assert_fronts_equal(a, b):
         np.testing.assert_array_equal(fa, fb)
 
 
-# ------------------------------------------------------------ dispatching
-
-
-def test_kernel_names_and_resolution():
-    assert set(KERNEL_NAMES) == {"blocked", "reference"}
-    assert resolve_kernel("blocked") == "blocked"
-    assert resolve_kernel(" Reference ") == "reference"
-    assert resolve_kernel(None) == get_default_kernel()
-    with pytest.raises(KeyError):
-        resolve_kernel("gpu")
-
-
-def test_set_default_kernel_roundtrip():
-    original = get_default_kernel()
-    try:
-        set_default_kernel("reference")
-        assert resolve_kernel(None) == "reference"
-        with pytest.raises(KeyError):
-            set_default_kernel("bogus")
-        assert get_default_kernel() == "reference"
-    finally:
-        set_default_kernel(original)
-
-
 # ------------------------------------------------- seeded NDS equivalence
 
 
@@ -82,9 +71,10 @@ def test_unconstrained_fronts_bit_identical(seed):
     objs, _ = random_case(seed)
     if objs.shape[0] == 0:
         return
-    expected = nds_fronts_reference(objs)
+    expected = ref.nds_fronts_reference(objs)
     for bs in BLOCK_SIZES:
-        assert_fronts_equal(nds_fronts_blocked(objs, bs), expected)
+        with block_size(bs):
+            assert_fronts_equal(nds_fronts_blocked(objs), expected)
     if objs.shape[1] <= 2:
         assert_fronts_equal(nds_fronts_sweep(objs), expected)
 
@@ -92,17 +82,17 @@ def test_unconstrained_fronts_bit_identical(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_constrained_fronts_bit_identical(seed):
     objs, viol = random_case(seed)
-    expected = constrained_fronts(objs, viol, kernel="reference")
+    expected = ref.constrained_fronts(objs, viol)
     for bs in BLOCK_SIZES:
-        got = constrained_fronts(objs, viol, kernel="blocked", block_size=bs)
-        assert_fronts_equal(got, expected)
+        with block_size(bs):
+            assert_fronts_equal(constrained_fronts(objs, viol), expected)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_rank_and_crowd_bit_identical(seed):
     objs, viol = random_case(seed)
-    rank_ref, crowd_ref = rank_and_crowd(objs, viol, kernel="reference")
-    rank_blk, crowd_blk = rank_and_crowd(objs, viol, kernel="blocked")
+    rank_ref, crowd_ref = ref.rank_and_crowd(objs, viol)
+    rank_blk, crowd_blk = rank_and_crowd(objs, viol)
     np.testing.assert_array_equal(rank_blk, rank_ref)
     # Bitwise: equal_nan not needed (no NaN), inf compares equal, and any
     # ULP drift in the accumulation order would fail here.
@@ -115,13 +105,21 @@ def test_truncate_and_rank_bit_identical(seed):
     n = objs.shape[0]
     rng = np.random.default_rng(seed + 1000)
     for k in {0, n // 2, max(n - 1, 0), n, n + 3} | {int(rng.integers(0, n + 1))}:
-        keep_r, rank_r, crowd_r = truncate_and_rank(
-            objs, viol, k, kernel="reference"
-        )
-        keep_b, rank_b, crowd_b = truncate_and_rank(objs, viol, k, kernel="blocked")
+        keep_r, rank_r, crowd_r = ref.truncate_and_rank(objs, viol, k)
+        keep_b, rank_b, crowd_b = truncate_and_rank(objs, viol, k)
         np.testing.assert_array_equal(keep_b, keep_r)
         np.testing.assert_array_equal(rank_b, rank_r)
         np.testing.assert_array_equal(crowd_b, crowd_r)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_crowded_truncate_bit_identical(seed):
+    objs, viol = random_case(seed)
+    n = objs.shape[0]
+    for k in {0, n // 2, max(n - 1, 0), n, n + 3}:
+        np.testing.assert_array_equal(
+            crowded_truncate(objs, viol, k), ref.truncate_indices(objs, viol, k)
+        )
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -131,27 +129,29 @@ def test_local_rank_and_crowd_bit_identical(seed):
     rng = np.random.default_rng(seed + 2000)
     n_partitions = int(rng.integers(1, 8))
     partition = rng.integers(0, n_partitions, size=n)
-    rank_ref, crowd_ref = local_rank_and_crowd(
-        objs, viol, partition, n_partitions, kernel="reference"
+    rank_ref, crowd_ref = ref.local_rank_and_crowd(
+        objs, viol, partition, n_partitions
     )
     for bs in BLOCK_SIZES:
-        rank_blk, crowd_blk = local_rank_and_crowd(
-            objs, viol, partition, n_partitions, kernel="blocked", block_size=bs
-        )
+        with block_size(bs):
+            rank_blk, crowd_blk = local_rank_and_crowd(
+                objs, viol, partition, n_partitions
+            )
         np.testing.assert_array_equal(rank_blk, rank_ref)
         np.testing.assert_array_equal(crowd_blk, crowd_ref)
 
 
 def test_local_rank_matches_reference_per_partition_loop():
-    # Spell the contract out once without the kernel indirection: blocked
-    # local ranks equal running the constrained sort partition by partition.
+    # Spell the contract out once without the oracle's own partition
+    # loop: library local ranks equal running the constrained sort
+    # partition by partition.
     objs, viol = random_case(7, n_max=40, m_choices=(2,))
     n = objs.shape[0]
     partition = np.arange(n) % 3
-    rank, crowd = local_rank_and_crowd(objs, viol, partition, 3, kernel="blocked")
+    rank, crowd = local_rank_and_crowd(objs, viol, partition, 3)
     for p in range(3):
         members = np.flatnonzero(partition == p)
-        fronts = constrained_fronts(objs[members], viol[members], kernel="reference")
+        fronts = ref.constrained_fronts(objs[members], viol[members])
         for level, front in enumerate(fronts):
             idx = members[front]
             np.testing.assert_array_equal(rank[idx], level)
@@ -209,18 +209,20 @@ class TestKernelProperties:
     def test_fronts_identical_under_heavy_ties(self, case):
         objs, viol = case
         assert_fronts_equal(
-            constrained_fronts(objs, viol, kernel="blocked"),
-            constrained_fronts(objs, viol, kernel="reference"),
+            constrained_fronts(objs, viol), ref.constrained_fronts(objs, viol)
         )
 
-    @given(objective_cases(), st.integers(0, 35), st.sampled_from([1, 2, 5, None]))
+    @given(
+        objective_cases(),
+        st.integers(0, 35),
+        st.sampled_from([1, 2, 5, kernels._BLOCK_SIZE]),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_truncate_identical_under_heavy_ties(self, case, k, block_size):
+    def test_truncate_identical_under_heavy_ties(self, case, k, rows):
         objs, viol = case
-        keep_r, rank_r, crowd_r = truncate_and_rank(objs, viol, k, kernel="reference")
-        keep_b, rank_b, crowd_b = truncate_and_rank(
-            objs, viol, k, kernel="blocked", block_size=block_size
-        )
+        keep_r, rank_r, crowd_r = ref.truncate_and_rank(objs, viol, k)
+        with block_size(rows):
+            keep_b, rank_b, crowd_b = truncate_and_rank(objs, viol, k)
         np.testing.assert_array_equal(keep_b, keep_r)
         np.testing.assert_array_equal(rank_b, rank_r)
         np.testing.assert_array_equal(crowd_b, crowd_r)
@@ -231,11 +233,7 @@ class TestKernelProperties:
         objs, viol = case
         rng = np.random.default_rng(objs.shape[0])
         partition = rng.integers(0, n_partitions, size=objs.shape[0])
-        ref = local_rank_and_crowd(
-            objs, viol, partition, n_partitions, kernel="reference"
-        )
-        blk = local_rank_and_crowd(
-            objs, viol, partition, n_partitions, kernel="blocked"
-        )
-        np.testing.assert_array_equal(blk[0], ref[0])
-        np.testing.assert_array_equal(blk[1], ref[1])
+        expected = ref.local_rank_and_crowd(objs, viol, partition, n_partitions)
+        got = local_rank_and_crowd(objs, viol, partition, n_partitions)
+        np.testing.assert_array_equal(got[0], expected[0])
+        np.testing.assert_array_equal(got[1], expected[1])

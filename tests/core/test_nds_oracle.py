@@ -1,8 +1,9 @@
 """Brute-force oracle for constrained non-dominated sorting.
 
-``fast_non_dominated_sort`` (both kernels) is checked against an
-independent O(N^2 M) implementation built straight from the definition
-of constrained dominance (Deb 2002):
+``fast_non_dominated_sort`` (the library kernel, ``"blocked"``) and the
+textbook loop in ``tests/core/reference_kernels.py`` (``"reference"``)
+are both checked against an independent O(N^2 M) implementation built
+straight from the definition of constrained dominance (Deb 2002):
 
 * a feasible point dominates every infeasible point;
 * between feasible points, Pareto dominance on the objectives;
@@ -10,7 +11,7 @@ of constrained dominance (Deb 2002):
 
 Front level is the longest dominator chain ending at the point, computed
 by repeated peeling of the currently-undominated set — no shared code
-with either kernel, so an agreeing bug would have to be invented twice.
+with either sort, so an agreeing bug would have to be invented twice.
 """
 
 import numpy as np
@@ -19,6 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.nds import fast_non_dominated_sort
+from tests.core import reference_kernels
+
+SORTS = {
+    "blocked": fast_non_dominated_sort,
+    "reference": reference_kernels.constrained_fronts,
+}
 
 
 def constrained_dominates(oi, oj, vi, vj):
@@ -71,7 +78,7 @@ def random_mix(seed):
 def test_fast_sort_matches_bruteforce_oracle(kernel, seed):
     objs, viol = random_mix(seed)
     expected = oracle_fronts(objs, viol)
-    got = fast_non_dominated_sort(objs, viol, kernel=kernel)
+    got = SORTS[kernel](objs, viol)
     assert len(got) == len(expected)
     for fg, fe in zip(got, expected):
         np.testing.assert_array_equal(np.sort(fg), np.sort(fe))
@@ -107,7 +114,7 @@ def mixes(draw):
 def test_fast_sort_matches_oracle_property(kernel, case):
     objs, viol = case
     expected = oracle_fronts(objs, viol)
-    got = fast_non_dominated_sort(objs, viol, kernel=kernel)
+    got = SORTS[kernel](objs, viol)
     assert len(got) == len(expected)
     for fg, fe in zip(got, expected):
         np.testing.assert_array_equal(np.sort(fg), np.sort(fe))

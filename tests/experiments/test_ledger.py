@@ -510,6 +510,31 @@ class TestResumeRun:
         assert serialized(resumed.result) == serialized(baseline.result)
         assert resumed.seed == baseline.seed
 
+    def test_resume_ignores_removed_backend_and_kernel_keys(self, tmp_path):
+        """A checkpoint written while the evaluation backend and kernel
+        were still options resumes byte-identically: its context keys
+        and its pool/cache counters are ignored."""
+        from repro.core.checkpoint import load_checkpoint, save_checkpoint
+
+        ckpt = tmp_path / "run.ckpt"
+        baseline = run_one("tpg", "resume-test", scale=TINY)
+        with pytest.raises(Boom):
+            run_one(
+                "tpg", "resume-test", scale=TINY,
+                checkpoint_path=str(ckpt), checkpoint_every=2,
+                callbacks=[KillAt(3)],
+            )
+        payload = load_checkpoint(str(ckpt))
+        payload["context"].update(
+            backend="shm", workers=2, cache_size=64, kernel="reference"
+        )
+        payload["backend_stats"].update(
+            cache_hits=5, bytes_shared=4096, bytes_pickled=512
+        )
+        save_checkpoint(payload, str(ckpt))
+        resumed = resume_run(str(ckpt))
+        assert serialized(resumed.result) == serialized(baseline.result)
+
     def test_resume_emits_resumed_flag_and_checkpoints_onward(self, tmp_path):
         ckpt = tmp_path / "run.ckpt"
         path = tmp_path / "trace.jsonl"

@@ -172,7 +172,7 @@ def test_mutating_subclass_fails_loudly():
             super().__init__(n_var=2, n_obj=1, n_con=0, lower=[0, 0], upper=[1, 1])
 
         def _evaluate(self, x):
-            x[:, 0] = 0.0  # illegal: backends hand the population matrix over
+            x[:, 0] = 0.0  # illegal: the optimizer hands its population matrix over
             return x[:, :1], np.zeros((x.shape[0], 0))
 
     with pytest.raises(ValueError, match="read-only"):

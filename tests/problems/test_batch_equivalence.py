@@ -5,15 +5,14 @@ sizing problem in all its configurations — a batched evaluation must be
 *bit-identical* (equal float64 bytes, not just ``allclose``) to evaluating
 the same rows one at a time through :meth:`Problem.evaluate_one`.  This
 is the row-decomposability half of the batch contract: it is what lets
-the pool backends chunk a generation arbitrarily, the cache memoize
-single rows against batched recomputation, and the vectorized circuit
-models replace the historical per-individual loops without perturbing
-any optimization trajectory.
+campaigns split their designs and scenarios into shards arbitrarily,
+and the vectorized circuit models replace the historical
+per-individual loops without perturbing any optimization trajectory.
 
 Never weaken an assertion here to ``allclose`` — a bitwise mismatch
 means some operation's result depends on batch composition (an
 accumulated reduction across rows, a resized scratch buffer, a data-
-dependent branch), which would silently break backend equivalence and
+dependent branch), which would silently break shard equivalence and
 checkpoint resume.
 """
 
@@ -110,8 +109,8 @@ def test_weighted_sum_wrapper_batch_matches_scalar_bitwise():
 @pytest.mark.parametrize("name,factory", zoo_problems() + sizing_problems())
 def test_chunked_batches_concatenate_bitwise(name, factory):
     """Splitting a batch into chunks and stacking the results must equal
-    the single-call evaluation — this is exactly what the thread/process
-    backends do to a generation matrix."""
+    the single-call evaluation — the row-decomposability every split of
+    a batch (such as a campaign's shard plan) relies on."""
     problem = factory()
     n_random = 12 if name.startswith("integrator") else 48
     x = probe_batch(problem, n_random, np.random.default_rng(RNG_SEED))

@@ -1,8 +1,8 @@
 """Every shipped Problem must survive a pickle round-trip unchanged.
 
-Process-pool evaluation ships the problem instance to worker processes,
-so picklability is part of the Problem contract: no lambdas, closures,
-or other unpicklable objects may live in instance state.  The round-trip
+Picklability is part of the Problem contract, so a problem instance can
+be copied to another process: no lambdas, closures, or other
+unpicklable objects may live in instance state.  The round-trip
 must also preserve *behavior* — the clone evaluates bit-identically.
 """
 

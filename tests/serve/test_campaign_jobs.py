@@ -80,7 +80,8 @@ class TestSubmitValidation:
             )
 
     def test_rejects_bad_backend(self, manager, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
+        # Shards have no evaluation-backend option any more.
+        with pytest.raises(ValueError, match="unknown job parameters.*backend"):
             manager.submit(
                 {
                     "campaign_id": "c",
@@ -253,6 +254,29 @@ class TestHttpCampaigns:
             status, payload = body_json(app.handle("POST", "/campaigns", body))
             assert status == 400
             assert "unknown corners" in payload["error"]
+        finally:
+            app.manager.shutdown()
+
+    def test_unknown_body_keys_400(self, tmp_path):
+        """A misspelt key (which used to fall back silently to the latest
+        surface version) and the removed ``backend`` option are both
+        rejected, and no campaign or shard job is created."""
+        app = make_app(tmp_path, workers=0)
+        register_front(app.store)
+        try:
+            for extra in ({"verison": 1}, {"backend": "serial"}):
+                body = json.dumps(
+                    {"surface": "front", "spec": self.SPEC, **extra}
+                ).encode()
+                status, payload = body_json(
+                    app.handle("POST", "/campaigns", body)
+                )
+                assert status == 400
+                assert f"unknown campaign parameters {sorted(extra)}" in (
+                    payload["error"]
+                )
+            assert app.campaigns.list_campaigns() == []
+            assert app.manager.list_jobs() == []
         finally:
             app.manager.shutdown()
 

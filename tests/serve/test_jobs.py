@@ -22,6 +22,8 @@ from repro.serve.jobs import (
     JobQueueFull,
     UnknownJob,
 )
+from repro.serve.store import JobRecord
+from repro.serve.worker import WorkerLoop
 from repro.serve.surfaces import SurfaceStore
 
 POLL_S = 0.01
@@ -127,24 +129,39 @@ class TestValidation:
                 manager.submit({"algorithm": "sacga", "surface": "../escape"})
 
     def test_rejects_unknown_backend_at_submit(self, tmp_path):
+        # The evaluation backend and kernel are no longer options: a new
+        # submission naming one fails the unknown-parameter check.
         with JobManager(data_dir=tmp_path, workers=1) as manager:
-            with pytest.raises(ValueError, match="backend"):
-                manager.submit({"algorithm": "sacga", "backend": "gpu"})
+            for key, value in (
+                ("backend", "serial"), ("workers", 2),
+                ("cache_size", 64), ("kernel", "blocked"),
+            ):
+                with pytest.raises(
+                    ValueError, match=f"unknown job parameters.*'{key}'"
+                ):
+                    manager.submit({"algorithm": "sacga", key: value})
+            assert manager.list_jobs() == []
 
-    def test_accepts_and_normalizes_known_backends(self, tmp_path):
-        from repro.core.evaluation import BACKEND_NAMES
-
-        def stub_runner(algorithm, experiment_id, **kwargs):
-            raise RuntimeError("stub: validation-only test")
-
-        with JobManager(
-            data_dir=tmp_path, workers=1, runner=stub_runner
-        ) as manager:
-            for name in BACKEND_NAMES:
-                job = manager.submit(
-                    {"algorithm": "sacga", "backend": name.upper()}
-                )
-                assert job.params["backend"] == name
+    def test_stored_job_with_removed_options_still_runs(self, tmp_path):
+        """A job row persisted before the backend/kernel options were
+        removed still runs on the real runner; the stale keys are
+        ignored."""
+        with JobManager(data_dir=tmp_path, workers=0) as manager:
+            record = JobRecord(
+                id="job-legacy",
+                kind="run_one",
+                params={
+                    "algorithm": "sacga", "population": 8, "generations": 2,
+                    "n_mc": 1, "n_partitions": 2, "backend": "shm",
+                    "workers": 2, "cache_size": 64, "kernel": "reference",
+                },
+                checkpoint_path=str(tmp_path / "legacy.ckpt"),
+            )
+            manager.job_store.submit(record)
+            WorkerLoop(manager.job_store, worker_id="legacy").run(max_jobs=1)
+            done = manager.status("job-legacy")
+        assert done["state"] == "done", done.get("error")
+        assert done["result"]["runs"][0]["n_evaluations"] == 8 * 3
 
     def test_unknown_job_id(self, tmp_path):
         with JobManager(data_dir=tmp_path, workers=1) as manager:

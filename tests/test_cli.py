@@ -61,6 +61,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])
 
+    @pytest.mark.parametrize(
+        "command", [["run", "tpg"], ["submit", "tpg"], ["campaign", "run", "s"]]
+    )
+    def test_no_backend_or_kernel_flags(self, command, capsys):
+        """Evaluation is serial and the kernels are fixed: the commands
+        that used to select them offer no such flags."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--help"])
+        usage = capsys.readouterr().out
+        for flag in ("--backend", "--workers", "--cache-size", "--kernel"):
+            assert flag not in usage
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + [flag, "2"])
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
