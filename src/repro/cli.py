@@ -74,18 +74,13 @@ from typing import List, Optional
 
 from repro.circuits.specs import spec_ladder
 from repro.experiments.figures import ALL_FIGURES
-from repro.experiments.ledger import (
-    format_event,
-    format_summary,
-    read_ledger,
-    summarize_ledger,
-    tail_events,
-)
+from repro.experiments.ledger import format_event, format_summary, summarize_ledger
 from repro.experiments.reporting import format_table, front_rows
 from repro.experiments.runner import Scale, RunSummary, resume_run, run_one
 from repro.obs.exporters import merge_prometheus, parse_prometheus
 from repro.obs.logging import configure_logging
-from repro.obs.spans import format_profile
+from repro.obs.records import read_records, tail_records
+from repro.obs.tracing import format_profile
 
 
 def _scale_from_args(args: argparse.Namespace) -> Scale:
@@ -170,8 +165,7 @@ def _print_metrics_outcome(summary: RunSummary) -> None:
         for kind, path in summary.metrics_paths.items():
             print(f"wrote {path}")
     if summary.profile:
-        total = summary.wall_time if summary.wall_time > 0 else None
-        print(format_profile(summary.profile, total_s=total))
+        print(format_profile(summary.profile))
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
@@ -197,10 +191,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(format_profile(profile))
             return 0
         if args.tail:
-            for event in tail_events(args.ledger, args.tail):
+            for event in tail_records(args.ledger, args.tail):
                 print(format_event(event))
         else:
-            print(format_summary(summarize_ledger(read_ledger(args.ledger))))
+            print(format_summary(summarize_ledger(read_records(args.ledger))))
     except (OSError, ValueError) as exc:
         print(f"cannot read {args.ledger!r}: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from repro.core.individual import Population
 from repro.core.operators import PolynomialMutation, SBXCrossover
 from repro.core.results import OptimizationResult, extract_feasible_front
 from repro.obs.registry import NULL_METRICS
-from repro.obs.spans import NULL_TRACER
+from repro.obs.tracing import NULL_TRACE_RECORDER
 from repro.problems.base import Problem
 from repro.utils.rng import RngLike, as_rng
 
@@ -59,11 +59,11 @@ class BaseOptimizer:
         :data:`~repro.obs.registry.NULL_METRICS`.  Instrument handles
         are resolved here, once — the hot loop never calls the registry.
     tracer:
-        A :class:`repro.obs.spans.SpanTracer` recording the hierarchical
-        wall-clock profile (run → generation → evaluate →
-        backend:<name>); ``None`` installs the no-op
-        :data:`~repro.obs.spans.NULL_TRACER`.  Instrumentation is
-        read-only: instrumented runs are byte-identical to
+        A :class:`repro.obs.tracing.TraceRecorder` recording the
+        hierarchical wall-clock profile (run → generation → evaluate);
+        ``None`` installs the no-op
+        :data:`~repro.obs.tracing.NULL_TRACE_RECORDER`.  Instrumentation
+        is read-only: instrumented runs are byte-identical to
         uninstrumented ones.
     """
 
@@ -90,11 +90,10 @@ class BaseOptimizer:
         self.rng = as_rng(seed)
         self.backend = EvaluationBackend()
         self.metrics = NULL_METRICS if metrics is None else metrics
-        self.tracer = NULL_TRACER if tracer is None else tracer
-        # Instrument handles and span names are fixed at construction so
-        # the generational loop touches no registry state (nor formats
-        # strings) — with NULL_METRICS every update is a shared no-op.
-        self._backend_span_name = f"backend:{self.backend.name}"
+        self.tracer = NULL_TRACE_RECORDER if tracer is None else tracer
+        # Instrument handles are fixed at construction so the generational
+        # loop touches no registry state — with NULL_METRICS every update
+        # is a shared no-op.
         self._m_eval_batches = self.metrics.counter(
             "repro_backend_batches_total", "Evaluation batches served"
         )
@@ -137,8 +136,7 @@ class BaseOptimizer:
     def _evaluate_population(self, x: np.ndarray) -> Population:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         with self.tracer.span("evaluate"):
-            with self.tracer.span(self._backend_span_name):
-                evaluation = self.backend.evaluate(self.problem, x)
+            evaluation = self.backend.evaluate(self.problem, x)
         pop = Population(x, evaluation)
         self._n_evaluations += pop.size
         self._m_eval_batches.inc()

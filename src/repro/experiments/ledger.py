@@ -33,37 +33,26 @@ in by :mod:`repro.experiments.runner`.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, Optional, Union
+
+from repro.obs.records import append_record
 
 PathLike = Union[str, Path]
-
-
-def _sanitize(value: Any) -> Any:
-    """Make *value* strictly JSON-able (non-finite floats become None)."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {str(k): _sanitize(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    if hasattr(value, "item"):  # numpy scalars
-        return _sanitize(value.item())
-    return value
 
 
 class RunLedger:
     """Append-only JSONL event sink.
 
-    Each :meth:`emit` opens the file, appends one line, flushes and
-    closes — slower than keeping the handle open, but a generation of
-    circuit evaluation dwarfs an open/close, and it guarantees every
-    completed event is durable regardless of how the process dies.
+    Each :meth:`emit` appends one line through
+    :func:`repro.obs.records.append_record`, so every completed event is
+    durable regardless of how the process dies (a generation of circuit
+    evaluation dwarfs the per-record open/close).  Read a ledger back
+    with :func:`repro.obs.records.read_records`.
 
     *bound* fields are merged into **every** record this ledger writes —
     the serve stack binds ``trace_id``/``job_id``/worker/attempt here so
@@ -81,10 +70,11 @@ class RunLedger:
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.bound = _sanitize(dict(bound)) if bound else {}
+        self.bound = dict(bound) if bound else {}
         self._t0 = time.perf_counter()
 
     def emit(self, event: str, **fields: Any) -> Dict[str, Any]:
+        """Append one event; returns the record as written."""
         record = {
             "event": str(event),
             "ts": datetime.now(timezone.utc).isoformat(timespec="milliseconds"),
@@ -92,10 +82,8 @@ class RunLedger:
             "mono": round(time.monotonic(), 6),
         }
         record.update(self.bound)
-        record.update(_sanitize(fields))
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
-        return record
+        record.update(fields)
+        return append_record(self.path, record)
 
 
 class LedgerCallback:
@@ -110,9 +98,9 @@ class LedgerCallback:
     value is attached under ``telemetry`` — the runner wires the
     telemetry callback's latest sample in here, enriching the trace with
     annealing temperature, gate probabilities, partition occupancy, etc.
-    All fields pass through :func:`_sanitize`, so degenerate populations
-    (zero feasible members, or empty after truncation) serialize NaN-free
-    (``null``, never ``NaN``, in the JSON).
+    All fields pass through :func:`repro.obs.records.jsonable`, so
+    degenerate populations (zero feasible members, or empty after
+    truncation) serialize NaN-free (``null``, never ``NaN``, in the JSON).
     """
 
     def __init__(
@@ -153,65 +141,7 @@ class LedgerCallback:
         self.ledger.emit("generation", **fields)
 
 
-# ----------------------------------------------------------- trace reading
-
-
-def read_ledger(path: PathLike) -> List[Dict[str, Any]]:
-    """Parse a ledger file; a torn final line (crash mid-write) is skipped."""
-    events: List[Dict[str, Any]] = []
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                break  # torn tail from a crash — everything before it is good
-            raise ValueError(f"{path}: corrupt ledger line {i + 1}: {line[:80]}")
-    return events
-
-
-def tail_events(
-    path: PathLike, n: int = 10, block_size: int = 65536
-) -> List[Dict[str, Any]]:
-    """The last *n* events of a ledger, read from the end of the file.
-
-    Streams fixed-size blocks backwards from EOF until enough newlines
-    have been seen, so tailing a multi-gigabyte sweep ledger costs only
-    the bytes the last *n* lines occupy — not a full-file parse.  Like
-    :func:`read_ledger`, a torn final line (crash mid-write) is skipped;
-    a corrupt line elsewhere in the tail window raises.
-    """
-    if n <= 0:
-        return []
-    path = Path(path)
-    with path.open("rb") as fh:
-        fh.seek(0, 2)  # SEEK_END
-        pos = fh.tell()
-        buf = b""
-        while pos > 0 and buf.count(b"\n") <= n:
-            step = min(block_size, pos)
-            pos -= step
-            fh.seek(pos)
-            buf = fh.read(step) + buf
-    # errors="replace" only matters for a multi-byte char cut at the block
-    # boundary, which can only sit in the partial first line dropped below.
-    lines = buf.decode("utf-8", errors="replace").split("\n")
-    if pos > 0:
-        lines = lines[1:]  # mid-line cut: the first fragment is partial
-    lines = [line.strip() for line in lines if line.strip()]
-    events: List[Dict[str, Any]] = []
-    for i, line in enumerate(lines):
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                break  # torn tail from a crash — everything before it is good
-            raise ValueError(f"{path}: corrupt ledger line: {line[:80]}")
-    return events[-n:]
+# ------------------------------------------------------- trace summaries
 
 
 def summarize_ledger(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:

@@ -36,8 +36,8 @@ from repro.obs.exporters import (
     save_telemetry_csv,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanTracer
 from repro.obs.telemetry import TelemetryCallback
+from repro.obs.tracing import TraceRecorder
 from repro.metrics.hypervolume import hypervolume_paper
 from repro.metrics.diversity import range_coverage, cluster_fraction
 from repro.utils.rng import stable_seed
@@ -130,8 +130,8 @@ def make_algorithm(
     given, the Phase-I cap is derived from the generation budget so that
     reduced-scale runs keep the paper's phase proportions.
     *metrics* / *tracer* (a :class:`repro.obs.MetricsRegistry` /
-    :class:`repro.obs.SpanTracer`) enable instrumentation; ``None`` keeps
-    the no-op defaults.
+    :class:`repro.obs.TraceRecorder`) enable instrumentation; ``None``
+    keeps the no-op defaults.
     """
     key = name.strip().lower()
     gens = generations if generations is not None else scale.generations
@@ -281,7 +281,7 @@ def run_one(
         registry = MetricsRegistry()
     else:
         registry = None
-    tracer = SpanTracer() if registry is not None else None
+    tracer = TraceRecorder() if registry is not None else None
     algorithm = make_algorithm(
         name, problem, scale, seed, generations=gens,
         metrics=registry, tracer=tracer, **algo_kwargs,

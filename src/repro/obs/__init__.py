@@ -1,16 +1,21 @@
-"""Instrumentation subsystem: metrics, timing spans, telemetry, exporters.
+"""Instrumentation subsystem: metrics, spans, telemetry, records, exporters.
 
 ``repro.obs`` sits *below* :mod:`repro.core` in the layering — it
 depends only on the standard library and numpy, and the optimizers
-import it (never the reverse).  Three pieces:
+import it (never the reverse).  The pieces:
 
 * :class:`MetricsRegistry` (+ :data:`NULL_METRICS`) — named counters,
   gauges and fixed-bucket histograms, cheap enough to be always-on.
-* :class:`SpanTracer` (+ :data:`NULL_TRACER`) — ``with tracer.span(...)``
-  wall-clock regions aggregated into a bounded hierarchical profile.
+* :class:`TraceRecorder` (+ :data:`NULL_TRACE_RECORDER`) — the one span
+  API: ``with recorder.span(...)`` regions aggregated into a bounded
+  hierarchical profile and, given a path, exported as JSON lines that
+  ``repro trace-view`` stitches across processes.
 * :class:`TelemetryCallback` — per-generation algorithm-internals
   sampling (annealing temperature, gate probabilities and accept/reject
-  counts, partition occupancy, feasibility, cache hit rate, ...).
+  counts, partition occupancy, feasibility, ...).
+* :mod:`repro.obs.records` — the one JSON-lines writer, value converter
+  and torn-tail-tolerant reader behind the run ledger, the trace files
+  and the structured log (:mod:`repro.obs.logging`).
 
 Exporters render a registry as a Prometheus text snapshot or tidy CSV,
 telemetry samples as per-generation CSV, and the span tree as JSON.
@@ -36,8 +41,8 @@ from repro.obs.logging import (
     configure_logging,
     disable_logging,
     get_logger,
-    read_log,
 )
+from repro.obs.records import append_record, jsonable, read_records, tail_records
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -48,13 +53,6 @@ from repro.obs.registry import (
     NullMetrics,
     NULL_INSTRUMENT,
     NULL_METRICS,
-)
-from repro.obs.spans import (
-    NullTracer,
-    NULL_TRACER,
-    SpanNode,
-    SpanTracer,
-    format_profile,
 )
 from repro.obs.telemetry import (
     TelemetryCallback,
@@ -67,9 +65,9 @@ from repro.obs.tracing import (
     TraceRecorder,
     check_trace_id,
     collect_trace,
+    format_profile,
     format_trace_tree,
     mint_trace_id,
-    read_trace_events,
     stitch_trace,
 )
 
@@ -83,11 +81,6 @@ __all__ = [
     "NULL_INSTRUMENT",
     "NULL_METRICS",
     "DEFAULT_LATENCY_BUCKETS",
-    "SpanNode",
-    "SpanTracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "format_profile",
     "TelemetryCallback",
     "TelemetrySample",
     "gate_probability_curves",
@@ -102,14 +95,17 @@ __all__ = [
     "mint_trace_id",
     "check_trace_id",
     "collect_trace",
-    "read_trace_events",
     "stitch_trace",
     "format_trace_tree",
+    "format_profile",
+    "jsonable",
+    "append_record",
+    "read_records",
+    "tail_records",
     "StructuredLogger",
     "configure_logging",
     "disable_logging",
     "get_logger",
-    "read_log",
     "metrics_to_csv_rows",
     "save_metrics_csv",
     "read_metrics_csv",

@@ -14,7 +14,7 @@ Three serialization surfaces for the instrumentation subsystem:
 * :func:`save_telemetry_csv` / :func:`read_telemetry_csv` — the
   per-generation sample table recorded by
   :class:`~repro.obs.telemetry.TelemetryCallback`.
-* :func:`save_profile` — the span tracer's timing tree as JSON.
+* :func:`save_profile` — a span recorder's timing tree as JSON.
 
 This module depends only on the standard library.
 """
@@ -396,7 +396,7 @@ def read_telemetry_csv(path: PathLike) -> List[TelemetrySample]:
 # ---------------------------------------------------------------- profile
 
 def save_profile(profile: List[Dict[str, Any]], path: PathLike) -> Path:
-    """Persist a span tracer's :meth:`profile` tree as JSON."""
+    """Persist a :meth:`~repro.obs.tracing.TraceRecorder.profile` tree as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(profile, indent=2) + "\n", encoding="utf-8")

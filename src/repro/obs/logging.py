@@ -12,8 +12,9 @@ Design points:
   written until :func:`configure_logging` is called (or the
   ``REPRO_LOG`` / ``REPRO_LOG_LEVEL`` environment variables are set),
   so unit tests and CLI output stay clean.
-* **Crash-safe appends.**  File sinks open/append/close per record,
-  like the run ledger, so a ``kill -9`` tears at most one line.
+* **Crash-safe appends.**  Records go through
+  :func:`repro.obs.records.append_record`, like the run ledger and the
+  trace files, so a ``kill -9`` tears at most one line.
 * **Context binding.**  ``log = get_logger("serve.worker").bind(
   worker=..., trace_id=...)`` returns a child logger whose records all
   carry those fields; rebinding layers additively.
@@ -24,7 +25,6 @@ bound field dict, and a shared sink.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
@@ -32,6 +32,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, Optional, TextIO, Union
+
+from repro.obs.records import append_record
 
 PathLike = Union[str, Path]
 
@@ -43,7 +45,6 @@ __all__ = [
     "disable_logging",
     "logging_configured",
     "get_logger",
-    "read_log",
 ]
 
 LEVELS: Dict[str, int] = {"debug": 10, "info": 20, "warning": 30, "error": 40}
@@ -58,9 +59,9 @@ def _check_level(level: str) -> str:
 class LogSink:
     """Destination + threshold shared by every logger.
 
-    Writes either to an open stream (kept open) or to a path
-    (open/append/close per record for crash safety and so multiple
-    sinks — or a log shipper — can read the file live).
+    Writes either to an open stream (kept open) or to a path (opened,
+    appended and closed per record, so multiple sinks — or a log
+    shipper — can read the file live); both get the same line.
     """
 
     def __init__(
@@ -71,23 +72,15 @@ class LogSink:
     ):
         if path is not None and stream is not None:
             raise ValueError("LogSink takes a path or a stream, not both")
-        self.path = Path(path) if path is not None else None
-        self.stream = stream
         self.threshold = LEVELS[_check_level(level)]
-        self._lock = threading.Lock()
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.target = stream
+        if path is not None:
+            self.target = Path(path)
+            self.target.parent.mkdir(parents=True, exist_ok=True)
 
     def write(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            if self.path is not None:
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-                    fh.flush()
-            elif self.stream is not None:
-                self.stream.write(line + "\n")
-                self.stream.flush()
+        if self.target is not None:
+            append_record(self.target, record)
 
 
 _state_lock = threading.Lock()
@@ -165,7 +158,7 @@ class StructuredLogger:
     def bind(self, **fields: Any) -> "StructuredLogger":
         """Child logger whose records also carry ``fields``."""
         merged = dict(self._bound)
-        merged.update(_sanitize(fields))
+        merged.update(fields)
         return StructuredLogger(self.component, merged)
 
     @property
@@ -188,7 +181,7 @@ class StructuredLogger:
             "pid": os.getpid(),
         }
         record.update(self._bound)
-        record.update(_sanitize(fields))
+        record.update(fields)
         sink.write(record)
 
     def debug(self, message: str, **fields: Any) -> None:
@@ -206,34 +199,4 @@ class StructuredLogger:
 
 def get_logger(component: str, **bound: Any) -> StructuredLogger:
     """The way serve modules obtain their logger."""
-    return StructuredLogger(component, _sanitize(bound))
-
-
-def _sanitize(fields: Dict[str, Any]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for key, value in fields.items():
-        if value is None or isinstance(value, (str, int, float, bool)):
-            out[key] = value
-        else:
-            out[key] = str(value)
-    return out
-
-
-def read_log(path: PathLike) -> list:
-    """Read a JSONL log file, tolerating a torn final line."""
-    path = Path(path)
-    records = []
-    try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        return records
-    for i, raw in enumerate(raw_lines):
-        if not raw.strip():
-            continue
-        try:
-            records.append(json.loads(raw))
-        except json.JSONDecodeError:
-            if i == len(raw_lines) - 1:
-                break
-            raise ValueError(f"{path}: corrupt log record at line {i + 1}")
-    return records
+    return StructuredLogger(component, bound)

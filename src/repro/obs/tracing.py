@@ -1,37 +1,42 @@
-"""Distributed tracing: span export, collection, and cross-process stitching.
+"""Spans: one API with an in-memory aggregate and a JSON-lines export.
 
-:class:`~repro.obs.spans.SpanTracer` aggregates timings *within* one
-process and throws the individual events away; it cannot reconstruct a
-job's path through the serve stack (HTTP submit on the server, one or
-more worker attempts, possibly on different machines with different
-clocks).  This module adds the distributed half:
+``with recorder.span("evaluate"):`` is the package's only span API.  A
+:class:`TraceRecorder` gives every finished span two sinks:
 
-* :func:`mint_trace_id` / :func:`check_trace_id` — trace identifiers
-  minted at ``POST /jobs`` (or accepted from an ``X-Trace-Id`` header)
-  and threaded through the JobStore, worker loop, ledger, and surface
-  registration.
-* :class:`TraceRecorder` — a per-process appender of span records as
-  JSON lines.  Every span writes a ``start`` record on entry and an
-  ``end`` record (with duration) on exit, so a ``kill -9``-ed process
-  still leaves evidence of the attempt it was executing.  Records carry
-  *both* a wall-clock timestamp (comparable across processes, subject
-  to skew) and a monotonic timestamp (skew-proof within one process).
-* :func:`read_trace_events` / :func:`collect_trace` — torn-tail
-  tolerant readers over one file or a directory of trace files, like
-  the ledger reader.
-* :func:`stitch_trace` / :func:`format_trace_tree` — reconstruct and
-  render the cross-process call tree for ``repro trace-view``: parent
-  links bind spans within a process, wall-clock ordering arranges the
-  per-process roots, and durations always come from monotonic clocks.
+* **An aggregate** — each span folds into a bounded tree keyed by the
+  path of span names open on the calling thread (run → generation →
+  evaluate, ...), accumulating ``count`` and ``total_s``.  The tree grows
+  with the *shapes* of nesting, not with how often they occur, so an
+  800-generation run costs no more memory than an 8-generation one.
+  :meth:`TraceRecorder.profile` returns it for ``--metrics`` /
+  ``--metrics-out`` and :func:`format_profile` renders it.
+* **A JSON-lines file** (when the recorder has a path) — a ``start``
+  record on entry and an ``end`` record (with duration and status) on
+  exit, so a ``kill -9``-ed process still leaves evidence of the attempt
+  it was executing.  Records carry a wall-clock timestamp (comparable
+  across processes, subject to skew) and a monotonic one (skew-proof
+  within one process).  ``repro trace-view`` stitches these files:
 
-Like the rest of ``repro.obs`` this depends only on the standard
-library, and recording is strictly read-only with respect to the
-optimization trajectory.
+  * :func:`mint_trace_id` / :func:`check_trace_id` — trace identifiers
+    minted at ``POST /jobs`` (or accepted from an ``X-Trace-Id``
+    header) and threaded through the JobStore, worker loop, ledger and
+    surface registration.
+  * :func:`collect_trace` — every record of one trace, gathered from a
+    directory of trace files.
+  * :func:`stitch_trace` / :func:`format_trace_tree` — reconstruct and
+    render the cross-process call tree: parent links bind spans within
+    a process, wall-clock ordering arranges the per-process roots, and
+    durations always come from monotonic clocks.
+
+:data:`NULL_TRACE_RECORDER` hands out one shared no-op span, so ``with
+tracer.span(...)`` costs two empty method calls when tracing is off.
+Recording is strictly read-only with respect to the optimization
+trajectory.  Like the rest of ``repro.obs`` this depends only on the
+standard library; the record format lives in :mod:`repro.obs.records`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -39,6 +44,8 @@ import time
 import uuid
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+
+from repro.obs.records import append_record, read_records
 
 PathLike = Union[str, Path]
 
@@ -49,10 +56,10 @@ __all__ = [
     "NullTraceRecorder",
     "NULL_TRACE_RECORDER",
     "TRACE_FILE_SUFFIX",
-    "read_trace_events",
     "collect_trace",
     "stitch_trace",
     "format_trace_tree",
+    "format_profile",
 ]
 
 TRACE_FILE_SUFFIX = ".trace.jsonl"
@@ -83,14 +90,39 @@ def safe_process_name(process: str) -> str:
     return _UNSAFE_RE.sub("-", process).strip("-") or "process"
 
 
+class _Node:
+    """One aggregate bucket: every finished span with this name path."""
+
+    __slots__ = ("name", "count", "total_s", "children")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.count = 0
+        self.total_s = 0.0
+        self.children: Dict[str, "_Node"] = {}
+
+    def as_dict(self) -> Dict[str, Any]:
+        children = [c.as_dict() for c in self.children.values()]
+        return {
+            "name": self.name,
+            "count": self.count,
+            "total_s": self.total_s,
+            "self_s": self.total_s - sum(c["total_s"] for c in children),
+            "children": children,
+        }
+
+
 class _Span:
     """Context manager for one recorded span (internal)."""
 
-    __slots__ = ("recorder", "record", "mono_start")
+    __slots__ = ("recorder", "record", "node", "mono_start")
 
-    def __init__(self, recorder: "TraceRecorder", record: Dict[str, Any]):
+    def __init__(
+        self, recorder: "TraceRecorder", record: Dict[str, Any], node: _Node
+    ):
         self.recorder = recorder
         self.record = record
+        self.node = node
         self.mono_start = record["mono"]
 
     @property
@@ -103,7 +135,7 @@ class _Span:
 
     def annotate(self, **fields: Any) -> None:
         """Attach extra fields to the eventual ``end`` record."""
-        self.record.update(_sanitize(fields))
+        self.record.update(fields)
 
     def __enter__(self) -> "_Span":
         return self
@@ -113,40 +145,66 @@ class _Span:
         return False
 
 
-class TraceRecorder:
-    """Append completed spans for one process as JSON lines.
+class _NullSpan:
+    """The shared no-op span :data:`NULL_TRACE_RECORDER` hands out."""
 
-    One recorder per process; thread-safe (the serve stack records from
-    HTTP handler threads and in-server worker threads concurrently).
-    Each span appends two records sharing a ``span_id``::
+    __slots__ = ()
+
+    span_id = None
+    trace_id = None
+
+    def annotate(self, **fields: Any) -> None:
+        pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _ThreadStack(threading.local):
+    """The calling thread's open spans, innermost last."""
+
+    def __init__(self) -> None:
+        self.spans: List[_Span] = []
+
+
+class TraceRecorder:
+    """Aggregate spans in memory and, given a *path*, append them as JSON lines.
+
+    Thread-safe: the serve stack records from HTTP handler threads and
+    in-server worker threads concurrently, and each thread keeps its own
+    stack of open spans.  With a path, each span appends two records
+    sharing a ``span_id``::
 
         {"phase": "start", "trace_id": ..., "span_id": ..., "parent_id": ...,
          "name": ..., "process": ..., "pid": ..., "wall": <time.time()>,
          "mono": <time.monotonic()>, ...}
         {"phase": "end", ..., "duration_s": <monotonic delta>, "status": "ok"|"error"}
 
-    Files are opened, appended, and closed per record (same crash-safety
-    posture as :class:`~repro.experiments.ledger.RunLedger`), so a
+    Records go through :func:`repro.obs.records.append_record`, so a
     ``kill -9`` can tear at most the final line — which the readers
     tolerate — and never corrupts earlier records.
     """
 
-    def __init__(self, path: PathLike, process: str = "", enabled: bool = True):
-        self.path = Path(path)
+    def __init__(self, path: Optional[PathLike] = None, process: str = ""):
+        self.path = Path(path) if path is not None else None
         self.process = process or f"pid-{os.getpid()}"
-        self.enabled = enabled
         self._lock = threading.Lock()
-        self._stack = threading.local()
-        if self.enabled:
+        self._local = _ThreadStack()
+        self._root = _Node("")
+        if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
 
     @classmethod
-    def for_process(
-        cls, traces_dir: PathLike, process: str, enabled: bool = True
-    ) -> "TraceRecorder":
+    def for_process(cls, traces_dir: PathLike, process: str) -> "TraceRecorder":
         """Build a recorder writing ``<traces_dir>/<process>-<pid>.trace.jsonl``."""
         name = f"{safe_process_name(process)}-{os.getpid()}{TRACE_FILE_SUFFIX}"
-        return cls(Path(traces_dir) / name, process=process, enabled=enabled)
+        return cls(Path(traces_dir) / name, process=process)
 
     # -- recording -------------------------------------------------------
 
@@ -164,10 +222,15 @@ class TraceRecorder:
         spans stitch automatically.
         """
         stack = self._thread_stack()
+        parent = stack[-1].node if stack else self._root
         if parent_id is None and stack:
             parent_id = stack[-1].span_id
         if trace_id is None and stack:
             trace_id = stack[-1].trace_id
+        node = parent.children.get(name)
+        if node is None:
+            with self._lock:
+                node = parent.children.setdefault(name, _Node(name))
         record: Dict[str, Any] = {
             "phase": "start",
             "trace_id": trace_id,
@@ -179,90 +242,95 @@ class TraceRecorder:
             "wall": time.time(),
             "mono": time.monotonic(),
         }
-        record.update(_sanitize(fields))
-        span = _Span(self, record)
-        self._append(record)
+        record.update(fields)
+        span = _Span(self, record, node)
+        if self.path is not None:
+            append_record(self.path, record)
         stack.append(span)
         return span
 
     def _finish(self, span: _Span, error: Optional[BaseException] = None) -> None:
+        duration = max(0.0, time.monotonic() - span.mono_start)
         stack = self._thread_stack()
         if span in stack:
             stack.remove(span)
+        with self._lock:
+            span.node.count += 1
+            span.node.total_s += duration
+        if self.path is None:
+            return
         end = dict(span.record)
         end["phase"] = "end"
-        end["duration_s"] = max(0.0, time.monotonic() - span.mono_start)
+        end["duration_s"] = duration
         end["status"] = "error" if error is not None else "ok"
         if error is not None:
             end["error"] = f"{type(error).__name__}: {error}"
-        self._append(end)
+        append_record(self.path, end)
 
     def _thread_stack(self) -> List[_Span]:
-        stack = getattr(self._stack, "spans", None)
-        if stack is None:
-            stack = []
-            self._stack.spans = stack
-        return stack
+        return self._local.spans
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        if not self.enabled:
-            return
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    # -- reporting -------------------------------------------------------
+
+    def profile(self) -> List[Dict[str, Any]]:
+        """The aggregate span forest as plain JSON-able dicts: ``name``,
+        ``count``, ``total_s``, ``self_s`` and ``children`` per node."""
         with self._lock:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
+            return [node.as_dict() for node in self._root.children.values()]
 
 
 class NullTraceRecorder(TraceRecorder):
     """Recorder that records nothing; safe default everywhere."""
 
     def __init__(self):  # noqa: D107 - trivially disabled
-        super().__init__(Path(os.devnull), process="null", enabled=False)
+        super().__init__(process="null")
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        pass
+    def span(self, name: str, *args: Any, **fields: Any) -> _NullSpan:
+        return _NULL_SPAN
 
 
 NULL_TRACE_RECORDER = NullTraceRecorder()
 
 
-def _sanitize(fields: Dict[str, Any]) -> Dict[str, Any]:
-    out: Dict[str, Any] = {}
-    for key, value in fields.items():
-        if value is None or isinstance(value, (str, int, float, bool)):
-            out[key] = value
-        else:
-            out[key] = str(value)
-    return out
+def format_profile(profile: List[Dict[str, Any]]) -> str:
+    """Render a profile (from :meth:`TraceRecorder.profile` or a saved
+    ``*.profile.json``) as an indented timing tree::
+
+        run                         1x   2.134s  (  3.1% self)
+          generation              200x   2.067s  (  8.8% self)
+            evaluate              200x   1.401s  (100.0% self)
+            rank                  200x   0.412s  ( 21.2% self)
+    """
+    if not profile:
+        return "(no spans recorded)"
+    width = _max_label_width(profile, 0)
+    lines: List[str] = []
+
+    def walk(node: Dict[str, Any], depth: int) -> None:
+        label = "  " * depth + node["name"]
+        total = node["total_s"]
+        self_pct = 100.0 * node["self_s"] / total if total > 0 else 100.0
+        lines.append(
+            f"{label:<{width}} {node['count']:>7}x {total:>9.3f}s"
+            f"  ({self_pct:5.1f}% self)"
+        )
+        for child in node["children"]:
+            walk(child, depth + 1)
+
+    for node in profile:
+        walk(node, 0)
+    return "\n".join(lines)
+
+
+def _max_label_width(nodes: List[Dict[str, Any]], depth: int) -> int:
+    width = 0
+    for node in nodes:
+        width = max(width, 2 * depth + len(node["name"]))
+        width = max(width, _max_label_width(node["children"], depth + 1))
+    return max(width, 12)
 
 
 # ---------------------------------------------------------------- reading
-
-def read_trace_events(path: PathLike) -> List[Dict[str, Any]]:
-    """Read one trace file, tolerating a torn final line.
-
-    A worker killed mid-append leaves a partial last line; like
-    ``read_ledger`` we drop it silently.  A malformed line *before* the
-    tail raises — that indicates real corruption, not a crash artifact.
-    """
-    path = Path(path)
-    events: List[Dict[str, Any]] = []
-    try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        return events
-    for i, raw in enumerate(raw_lines):
-        if not raw.strip():
-            continue
-        try:
-            events.append(json.loads(raw))
-        except json.JSONDecodeError:
-            if i == len(raw_lines) - 1:
-                break  # torn tail from a crash mid-append
-            raise ValueError(f"{path}: corrupt trace record at line {i + 1}")
-    return events
-
 
 def trace_files(root: PathLike) -> List[Path]:
     """All trace files under ``root`` (a directory, file, or glob)."""
@@ -284,7 +352,7 @@ def collect_trace(
     """
     events: List[Dict[str, Any]] = []
     for path in trace_files(root):
-        for event in read_trace_events(path):
+        for event in read_records(path):
             if trace_id is None or event.get("trace_id") == trace_id:
                 events.append(event)
     return events

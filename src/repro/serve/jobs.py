@@ -54,13 +54,7 @@ from repro.obs.tracing import (
     check_trace_id,
     mint_trace_id,
 )
-from repro.serve.store import (
-    JobQueueFull,
-    JobRecord,
-    JobStore,
-    UnknownJob,
-    _jsonable,
-)
+from repro.serve.store import JobQueueFull, JobRecord, JobStore, UnknownJob
 from repro.serve.surfaces import _check_name as _check_surface_name
 from repro.serve.worker import (
     DEFAULT_LEASE_S,

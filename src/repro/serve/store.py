@@ -36,7 +36,6 @@ requeues and terminal-job evictions each have a counter.
 from __future__ import annotations
 
 import json
-import math
 import sqlite3
 import threading
 import time
@@ -46,6 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.logging import get_logger
+from repro.obs.records import jsonable
 from repro.obs.registry import NULL_METRICS
 
 PathLike = Union[str, Path]
@@ -118,28 +118,6 @@ class UnknownJob(KeyError):
     """Raised for job ids the store has never seen (or has evicted)."""
 
 
-def _jsonable(value: Any) -> Any:
-    """Strictly JSON-able copy (non-finite floats become ``None``).
-
-    Numpy values are converted structurally: **arrays via ``tolist()``**
-    (any shape, any dtype), scalars via ``item()``.  The array case must
-    come first — a multi-element ndarray also has an ``.item`` attribute,
-    but calling it raises ``ValueError``, which used to fail whole jobs
-    at result-recording time.
-    """
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if hasattr(value, "tolist"):  # numpy arrays, any shape
-        return _jsonable(value.tolist())
-    if hasattr(value, "item"):  # numpy scalars
-        return _jsonable(value.item())
-    return value
-
-
 @dataclass
 class JobRecord:
     """One job row: everything the store knows about a submission."""
@@ -169,7 +147,7 @@ class JobRecord:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able public view (what the HTTP API returns)."""
-        return _jsonable(
+        return jsonable(
             {
                 "id": self.id,
                 "kind": self.kind,

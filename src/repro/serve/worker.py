@@ -43,8 +43,9 @@ from repro.experiments.runner import Scale, resume_run, run_many, run_one
 from repro.experiments.tradeoff import DesignSurface
 from repro.obs.exporters import to_prometheus
 from repro.obs.logging import get_logger
+from repro.obs.records import jsonable
 from repro.obs.tracing import NULL_TRACE_RECORDER, TraceRecorder
-from repro.serve.store import JobRecord, JobStore, _jsonable
+from repro.serve.store import JobRecord, JobStore
 
 PathLike = Union[str, Path]
 
@@ -479,7 +480,7 @@ class WorkerLoop:
             }
             for s in summaries
         ]
-        result = _jsonable(
+        result = jsonable(
             {
                 "kind": record.kind,
                 "n_runs": len(runs),
@@ -526,7 +527,7 @@ class WorkerLoop:
                 finalized = True
             except ValueError:
                 pass  # a sibling shard landed and then vanished mid-race
-        result = _jsonable(
+        result = jsonable(
             {
                 "kind": record.kind,
                 "campaign": manifest["id"],
@@ -565,7 +566,7 @@ class WorkerLoop:
                 },
             )
             span.annotate(version=version)
-        return _jsonable(
+        return jsonable(
             {
                 "name": name,
                 "version": version,

@@ -23,8 +23,8 @@ from repro.core.nsga2 import NSGA2
 from repro.core.sacga import SACGA, SACGAConfig
 from repro.core.partitions import PartitionGrid
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanTracer
 from repro.obs.telemetry import TelemetryCallback
+from repro.obs.tracing import TraceRecorder
 from repro.problems.synthetic import ClusteredFeasibility
 from repro.utils.serialization import result_to_dict, save_result
 from tests.core.reference_kernels import use_reference_kernels
@@ -88,7 +88,8 @@ def test_instrumented_run_serializes_byte_identical(algo):
     gate for the instrumentation subsystem."""
     plain = serialized(build(algo).run(GENS))
     registry = MetricsRegistry()
-    algorithm = build(algo, metrics=registry, tracer=SpanTracer())
+    tracer = TraceRecorder()
+    algorithm = build(algo, metrics=registry, tracer=tracer)
     algorithm.add_callback(
         TelemetryCallback(algorithm, registry, kernel_counts=kernel_call_counts)
     )
@@ -98,6 +99,7 @@ def test_instrumented_run_serializes_byte_identical(algo):
     collected = {name for name, _, _, _ in registry.collect()}
     assert "repro_generation" in collected
     assert "repro_backend_batches_total" in collected
+    assert [node["name"] for node in tracer.profile()] == ["run"]
 
 
 @pytest.mark.parametrize("algo", ["nsga2", "sacga"])
@@ -106,9 +108,9 @@ def test_distributed_observability_is_byte_invisible(algo, tmp_path):
     and a trace-bound run ledger — must not perturb the trajectory: a run
     wrapped the way a traced worker wraps it serializes byte-identically
     to a bare run."""
-    from repro.experiments.ledger import LedgerCallback, RunLedger, read_ledger
+    from repro.experiments.ledger import LedgerCallback, RunLedger
     from repro.obs.logging import configure_logging, disable_logging, get_logger
-    from repro.obs.tracing import TraceRecorder, read_trace_events
+    from repro.obs.records import read_records
 
     plain = serialized(build(algo).run(GENS))
     recorder = TraceRecorder(tmp_path / "run.trace.jsonl", process="test-worker")
@@ -118,7 +120,7 @@ def test_distributed_observability_is_byte_invisible(algo, tmp_path):
     )
     try:
         configure_logging(path=tmp_path / "run.log", level="debug")
-        algorithm = build(algo)
+        algorithm = build(algo, tracer=recorder)
         algorithm.add_callback(LedgerCallback(ledger, algorithm, run_id="det"))
         with recorder.span("worker:run", trace_id="det-trace"):
             get_logger("test").info("instrumented run")
@@ -127,8 +129,10 @@ def test_distributed_observability_is_byte_invisible(algo, tmp_path):
         disable_logging()
     assert serialized(result) == plain
     # Guard against the instrumented leg silently not instrumenting.
-    assert read_trace_events(recorder.path)
-    events = read_ledger(ledger.path)
+    spans = read_records(recorder.path)
+    assert {"worker:run", "generation", "evaluate"} <= {s["name"] for s in spans}
+    assert all(s["trace_id"] == "det-trace" for s in spans)
+    events = read_records(ledger.path)
     assert events
     assert all(e["trace_id"] == "det-trace" for e in events)
 

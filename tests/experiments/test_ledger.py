@@ -23,13 +23,13 @@ from repro.experiments.ledger import (
     RunLedger,
     format_event,
     format_summary,
-    read_ledger,
     summarize_ledger,
-    tail_events,
 )
 from repro.experiments.runner import Scale, resume_run, run_many, run_one
+from repro.obs.records import read_records
 from repro.problems.synthetic import ClusteredFeasibility
 from repro.utils.serialization import result_to_dict
+from tests.obs.strict_json import strict_lines
 
 TINY = Scale(population=16, generations=5, n_mc=2, n_seeds=1, label="tiny")
 SWEEP = Scale(population=16, generations=5, n_mc=2, n_seeds=3, label="tiny")
@@ -81,7 +81,7 @@ class TestRunLedger:
         ledger = RunLedger(tmp_path / "trace.jsonl")
         ledger.emit("run_started", run="a", seed=7)
         ledger.emit("run_finished", run="a", wall_time=1.25)
-        events = read_ledger(ledger.path)
+        events = read_records(ledger.path)
         assert [e["event"] for e in events] == ["run_started", "run_finished"]
         assert events[0]["run"] == "a" and events[0]["seed"] == 7
         for e in events:
@@ -90,7 +90,7 @@ class TestRunLedger:
     def test_creates_parent_directories(self, tmp_path):
         ledger = RunLedger(tmp_path / "deep" / "nested" / "trace.jsonl")
         ledger.emit("sweep_started")
-        assert len(read_ledger(ledger.path)) == 1
+        assert len(read_records(ledger.path)) == 1
 
     def test_sanitizes_nonfinite_and_numpy(self, tmp_path):
         ledger = RunLedger(tmp_path / "trace.jsonl")
@@ -102,74 +102,20 @@ class TestRunLedger:
             nested={"x": np.float64(1.5), "bad": float("-inf")},
             seq=[np.float32(2.0), float("nan")],
         )
-        (event,) = read_ledger(ledger.path)
+        (event,) = strict_lines(ledger.path)
         assert event["hv"] is None
         assert event["nan_score"] is None
-        assert event["count"] == 3
+        assert event["count"] == 3 and type(event["count"]) is int
         assert event["nested"] == {"x": 1.5, "bad": None}
         assert event["seq"] == [2.0, None]
 
-    def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        ledger = RunLedger(path)
-        ledger.emit("run_started", run="a")
-        ledger.emit("generation", run="a", generation=3)
-        with path.open("a") as fh:
-            fh.write('{"event": "generation", "run": "a", "gener')  # crash mid-write
-        events = read_ledger(path)
-        assert [e["event"] for e in events] == ["run_started", "generation"]
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"event": "a"}\nnot json at all\n{"event": "b"}\n')
-        with pytest.raises(ValueError, match="corrupt ledger line 2"):
-            read_ledger(path)
-
-    def test_tail_events(self, tmp_path):
+    def test_ndarray_fields_become_nested_lists(self, tmp_path):
+        # Regression: a multi-element ndarray field raised ValueError.
         ledger = RunLedger(tmp_path / "trace.jsonl")
-        for i in range(5):
-            ledger.emit("generation", generation=i)
-        tail = tail_events(ledger.path, 2)
-        assert [e["generation"] for e in tail] == [3, 4]
-        assert tail_events(ledger.path, 0) == []
-        assert len(tail_events(ledger.path, 100)) == 5
-
-    def test_tail_events_streams_from_file_end(self, tmp_path):
-        """Multi-MB ledger: the tail must come from seeking backwards, not
-        a full-file parse, and must match read_ledger's view exactly."""
-        path = tmp_path / "big.jsonl"
-        pad = "x" * 200
-        n = 20000
-        with path.open("w", encoding="utf-8") as fh:
-            for i in range(n):
-                fh.write(
-                    json.dumps({"event": "generation", "generation": i, "pad": pad})
-                    + "\n"
-                )
-        assert path.stat().st_size > 4 * 1024 * 1024
-        tail = tail_events(path, 5)
-        assert [e["generation"] for e in tail] == list(range(n - 5, n))
-        assert tail == read_ledger(path)[-5:]
-
-    def test_tail_events_with_tiny_blocks_and_torn_tail(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        ledger = RunLedger(path)
-        for i in range(30):
-            ledger.emit("generation", generation=i)
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"event": "generation", "gener')  # crash mid-write
-        # block_size smaller than one line exercises the backward loop and
-        # the partial-first-line drop on every block boundary.
-        tail = tail_events(path, 4, block_size=16)
-        assert [e["generation"] for e in tail] == [26, 27, 28, 29]
-
-    def test_tail_events_corrupt_line_in_window_raises(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(
-            '{"event": "a"}\nnot json at all\n{"event": "b"}\n', encoding="utf-8"
-        )
-        with pytest.raises(ValueError, match="corrupt ledger line"):
-            tail_events(path, 10)
+        record = ledger.emit("run_finished", front=np.arange(6.0).reshape(2, 3))
+        assert record["front"] == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        (line,) = strict_lines(ledger.path)
+        assert line["front"] == record["front"]
 
 
 class TestSummarize:
@@ -261,7 +207,7 @@ class TestLedgerCallback:
         algo = NSGA2(ClusteredFeasibility(n_var=4), population_size=16, seed=3)
         algo.add_callback(LedgerCallback(ledger, algo, run_id="unit/run"))
         algo.run(4)
-        events = read_ledger(ledger.path)
+        events = read_records(ledger.path)
         # generations 0..4 inclusive, every=1
         assert [e["generation"] for e in events] == [0, 1, 2, 3, 4]
         for e in events:
@@ -278,7 +224,7 @@ class TestLedgerCallback:
         algo = NSGA2(ClusteredFeasibility(n_var=4), population_size=16, seed=3)
         algo.add_callback(LedgerCallback(ledger, algo, every=2))
         algo.run(5)
-        gens = [e["generation"] for e in read_ledger(ledger.path)]
+        gens = [e["generation"] for e in read_records(ledger.path)]
         assert gens == [0, 2, 4]
 
     def test_invalid_every(self, tmp_path):
@@ -314,7 +260,7 @@ class TestLedgerCallbackSanitization:
         cb(0, self._population(0))
         text = ledger.path.read_text(encoding="utf-8")
         assert "NaN" not in text  # json.dumps would spell it exactly so
-        (event,) = read_ledger(ledger.path)
+        (event,) = read_records(ledger.path)
         assert event["feasible_ratio"] is None
         assert event["n_feasible"] == 0
         assert event["population_size"] == 0
@@ -323,7 +269,7 @@ class TestLedgerCallbackSanitization:
         ledger = RunLedger(tmp_path / "t.jsonl")
         cb = LedgerCallback(ledger, self._fake_optimizer(), run_id="r")
         cb(1, self._population(8, n_feasible=0))
-        (event,) = read_ledger(ledger.path)
+        (event,) = read_records(ledger.path)
         assert event["feasible_ratio"] == 0.0
 
     def test_extras_fn_values_are_sanitized(self, tmp_path):
@@ -333,7 +279,7 @@ class TestLedgerCallbackSanitization:
             ledger, self._fake_optimizer(), run_id="r", extras_fn=lambda: extras
         )
         cb(1, self._population(4, n_feasible=2))
-        (event,) = read_ledger(ledger.path)
+        (event,) = read_records(ledger.path)
         assert event["telemetry"]["temperature"] is None
         assert event["telemetry"]["gate_probability_1"] == 0.5
 
@@ -343,7 +289,7 @@ class TestLedgerCallbackSanitization:
             ledger, self._fake_optimizer(), run_id="r", extras_fn=dict
         )
         cb(0, self._population(4, n_feasible=4))
-        (event,) = read_ledger(ledger.path)
+        (event,) = read_records(ledger.path)
         assert "telemetry" not in event
 
 
@@ -351,7 +297,7 @@ class TestRunOneLedger:
     def test_trace_of_successful_run(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         run_one("tpg", "ledger-test", scale=TINY, ledger=str(path))
-        events = read_ledger(path)
+        events = read_records(path)
         kinds = [e["event"] for e in events]
         assert kinds[0] == "run_started"
         assert kinds[-1] == "run_finished"
@@ -372,7 +318,7 @@ class TestRunOneLedger:
                 "tpg", "ledger-test", scale=TINY,
                 ledger=str(path), callbacks=[KillAt(2)],
             )
-        events = read_ledger(path)
+        events = read_records(path)
         assert events[-1]["event"] == "run_failed"
         assert "Boom" in events[-1]["error"]
         assert "killed at generation 2" in events[-1]["error"]
@@ -384,7 +330,7 @@ class TestRunOneLedger:
                 "tpg", "ledger-test", scale=TINY,
                 ledger=str(path), timeout_s=1e-9,
             )
-        events = read_ledger(path)
+        events = read_records(path)
         assert events[-1]["event"] == "run_failed"
         assert "RunTimeoutError" in events[-1]["error"]
 
@@ -420,7 +366,7 @@ class TestRunManyFaultTolerance:
             ledger=str(path), callbacks=[injector],
         )
         assert len(summaries) == SWEEP.n_seeds
-        events = read_ledger(path)
+        events = read_records(path)
         counts = summarize_ledger(events)["event_counts"]
         assert counts["run_failed"] == 2
         assert counts["retry"] == 2
@@ -444,7 +390,7 @@ class TestRunManyFaultTolerance:
         assert len(summaries) == SWEEP.n_seeds - 1
         seeds_done = {s.seed for s in summaries}
         assert len(seeds_done) == 2
-        events = read_ledger(path)
+        events = read_records(path)
         abandoned = [e for e in events if e["event"] == "seed_abandoned"]
         assert len(abandoned) == 1
         assert abandoned[0]["run"] == "sweep-test/tpg/seed0"
@@ -470,7 +416,7 @@ class TestRunManyFaultTolerance:
                 "tpg", "sweep-test", scale=SWEEP,
                 ledger=str(path), callbacks=[injector],
             )
-        counts = summarize_ledger(read_ledger(path))["event_counts"]
+        counts = summarize_ledger(read_records(path))["event_counts"]
         assert counts["run_failed"] == 1
         assert "retry" not in counts and "seed_abandoned" not in counts
 
@@ -484,7 +430,7 @@ class TestRunManyFaultTolerance:
             ledger=str(tmp_path / "t.jsonl"),
         )
         assert summaries == []
-        counts = summarize_ledger(read_ledger(tmp_path / "t.jsonl"))["event_counts"]
+        counts = summarize_ledger(read_records(tmp_path / "t.jsonl"))["event_counts"]
         assert counts["seed_abandoned"] == 2
 
     def test_invalid_retries(self):
@@ -545,7 +491,7 @@ class TestResumeRun:
                 callbacks=[KillAt(3)],
             )
         resume_run(str(ckpt), ledger=str(path))
-        events = read_ledger(path)
+        events = read_records(path)
         started = next(e for e in events if e["event"] == "run_started")
         assert started["resumed"] is True
         # checkpointing continued to the same file: generation 4 overwrote
@@ -568,7 +514,7 @@ class TestMonotonicTimestamps:
         ledger = RunLedger(tmp_path / "t.jsonl")
         record = ledger.emit("run_started", run="r")
         assert isinstance(record["mono"], float)
-        (read,) = read_ledger(ledger.path)
+        (read,) = read_records(ledger.path)
         assert read["mono"] == record["mono"]
 
     def test_bound_fields_on_every_event(self, tmp_path):
@@ -578,7 +524,7 @@ class TestMonotonicTimestamps:
         )
         ledger.emit("run_started", run="r")
         ledger.emit("generation", run="r", generation=0)
-        for event in read_ledger(ledger.path):
+        for event in read_records(ledger.path):
             assert event["trace_id"] == "t1"
             assert event["job_id"] == "j1"
             assert event["worker"] == "w0"
@@ -587,7 +533,7 @@ class TestMonotonicTimestamps:
     def test_event_fields_win_over_bound(self, tmp_path):
         ledger = RunLedger(tmp_path / "t.jsonl", bound={"attempt": 1})
         ledger.emit("retry", run="r", attempt=2)
-        (event,) = read_ledger(ledger.path)
+        (event,) = read_records(ledger.path)
         assert event["attempt"] == 2
 
     def test_monotonic_preferred_over_elapsed_across_attempts(self):

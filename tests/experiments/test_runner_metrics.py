@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from repro.experiments.ledger import read_ledger
+from repro.obs.records import read_records
 from repro.experiments.runner import Scale, run_one
 from repro.obs.exporters import (
     parse_prometheus,
@@ -72,7 +72,7 @@ def test_ledger_generation_events_carry_telemetry(tmp_path):
     path = tmp_path / "trace.jsonl"
     run_one("sacga", "obs-test", scale=TINY, metrics=True, ledger=str(path))
     assert "NaN" not in path.read_text(encoding="utf-8")
-    gen_events = [e for e in read_ledger(path) if e["event"] == "generation"]
+    gen_events = [e for e in read_records(path) if e["event"] == "generation"]
     assert gen_events
     for event in gen_events:
         assert "feasible_ratio" in event
@@ -84,7 +84,7 @@ def test_ledger_generation_events_carry_telemetry(tmp_path):
 def test_uninstrumented_ledger_has_no_telemetry_field(tmp_path):
     path = tmp_path / "trace.jsonl"
     run_one("tpg", "obs-test", scale=TINY, ledger=str(path))
-    gen_events = [e for e in read_ledger(path) if e["event"] == "generation"]
+    gen_events = [e for e in read_records(path) if e["event"] == "generation"]
     assert gen_events
     assert all("telemetry" not in e for e in gen_events)
     # The NaN-safety enrichment is on regardless of instrumentation.

@@ -18,7 +18,7 @@ from repro.obs.exporters import (
     to_prometheus,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanTracer
+from repro.obs.tracing import TraceRecorder
 
 
 def populated_registry() -> MetricsRegistry:
@@ -230,7 +230,7 @@ class TestTelemetryCsv:
 
 class TestProfileJson:
     def test_save_profile_round_trips(self, tmp_path):
-        tracer = SpanTracer()
+        tracer = TraceRecorder()
         with tracer.span("run"):
             with tracer.span("generation"):
                 pass

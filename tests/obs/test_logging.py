@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.obs.logging import (
@@ -13,8 +14,9 @@ from repro.obs.logging import (
     disable_logging,
     get_logger,
     logging_configured,
-    read_log,
 )
+from repro.obs.records import read_records
+from tests.obs.strict_json import strict_lines
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +34,7 @@ class TestSink:
         configure_logging(path=log_path)
         get_logger("serve.http").info("request", status=200)
         get_logger("serve.http").info("request", status=404)
-        records = read_log(log_path)
+        records = read_records(log_path)
         assert [r["status"] for r in records] == [200, 404]
         assert all(r["component"] == "serve.http" for r in records)
         assert all({"ts", "mono", "pid", "level", "message"} <= set(r) for r in records)
@@ -91,11 +93,26 @@ class TestBinding:
         get_logger("x", state="old").info("msg", state="new")
         assert json.loads(stream.getvalue())["state"] == "new"
 
-    def test_non_scalar_fields_stringified(self):
+    def test_non_scalar_fields_stringified(self, tmp_path):
         stream = io.StringIO()
         configure_logging(stream=stream)
-        get_logger("x").info("msg", path={"not": "scalar"})
-        assert json.loads(stream.getvalue())["path"] == "{'not': 'scalar'}"
+        get_logger("x").info("msg", path=tmp_path, nested={"k": [1, 2]})
+        record = json.loads(stream.getvalue())
+        assert record["path"] == str(tmp_path)
+        assert record["nested"] == {"k": [1, 2]}
+
+    def test_numpy_and_non_finite_fields_are_strict_json(self, tmp_path):
+        # Regression: nan was written as a bare NaN token and np.int64 as
+        # the string "3".
+        log_path = tmp_path / "strict.log"
+        configure_logging(path=log_path)
+        get_logger("x", bound_nan=float("nan")).info(
+            "msg", score=float("nan"), count=np.int64(3), ok=np.bool_(True)
+        )
+        (record,) = strict_lines(log_path)
+        assert record["score"] is None and record["bound_nan"] is None
+        assert record["count"] == 3 and type(record["count"]) is int
+        assert record["ok"] is True
 
 
 class TestEnvActivation:
@@ -108,7 +125,7 @@ class TestEnvActivation:
         monkeypatch.setattr(mod, "_sink", None)
         monkeypatch.setattr(mod, "_env_checked", False)
         get_logger("x").debug("from-env")
-        assert read_log(log_path)[0]["message"] == "from-env"
+        assert read_records(log_path)[0]["message"] == "from-env"
 
     def test_env_ignored_once_configured(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LOG", str(tmp_path / "ignored.log"))
@@ -117,23 +134,3 @@ class TestEnvActivation:
         get_logger("x").info("msg")
         assert not (tmp_path / "ignored.log").exists()
         assert "msg" in stream.getvalue()
-
-
-class TestReadLog:
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "t.log"
-        configure_logging(path=path)
-        get_logger("x").info("whole")
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"message": "torn')
-        records = read_log(path)
-        assert [r["message"] for r in records] == ["whole"]
-
-    def test_interior_corruption_raises(self, tmp_path):
-        path = tmp_path / "t.log"
-        path.write_text('garbage\n{"message": "ok"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="corrupt log record at line 1"):
-            read_log(path)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert read_log(tmp_path / "none.log") == []

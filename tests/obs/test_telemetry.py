@@ -22,8 +22,8 @@ from repro.core.partitions import PartitionGrid
 from repro.core.sacga import SACGA, SACGAConfig
 from repro.obs.exporters import read_telemetry_csv, save_telemetry_csv
 from repro.obs.registry import MetricsRegistry, NullMetrics
-from repro.obs.spans import SpanTracer
 from repro.obs.telemetry import TelemetryCallback, gate_probability_curves
+from repro.obs.tracing import TraceRecorder
 from repro.problems.synthetic import ClusteredFeasibility
 
 POP = 16
@@ -54,7 +54,7 @@ def instrumented_sacga(registry, tracer=None):
 class TestGateProbabilityFidelity:
     def test_recorded_curves_match_analytic_equations_to_1e12(self):
         registry = MetricsRegistry()
-        algo, telemetry = instrumented_sacga(registry, tracer=SpanTracer())
+        algo, telemetry = instrumented_sacga(registry, tracer=TraceRecorder())
         result = algo.run(GENS)
 
         gen_t = result.metadata["gen_t"]
@@ -136,7 +136,7 @@ class CountingNullMetrics(NullMetrics):
 class TestHotLoopRegistryIsolation:
     def test_enabled_path_resolves_handles_only_at_wiring_time(self):
         registry = CountingRegistry()
-        algo, _ = instrumented_sacga(registry, tracer=SpanTracer())
+        algo, _ = instrumented_sacga(registry, tracer=TraceRecorder())
         wiring_lookups = registry.lookups
         assert wiring_lookups > 0
         algo.run(GENS)

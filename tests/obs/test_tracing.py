@@ -1,10 +1,13 @@
-"""Distributed tracing: recorders, torn-tail reads, cross-process stitching."""
+"""Spans: the in-memory aggregate, JSON-lines export, cross-process stitching."""
 
 import json
+import sys
 import threading
 
+import numpy as np
 import pytest
 
+from repro.obs.records import read_records
 from repro.obs.tracing import (
     NULL_TRACE_RECORDER,
     NullTraceRecorder,
@@ -12,12 +15,13 @@ from repro.obs.tracing import (
     TraceRecorder,
     check_trace_id,
     collect_trace,
+    format_profile,
     format_trace_tree,
     mint_trace_id,
-    read_trace_events,
     safe_process_name,
     stitch_trace,
 )
+from tests.obs.strict_json import strict_lines
 
 
 class TestTraceIds:
@@ -48,7 +52,7 @@ class TestTraceRecorder:
         rec = TraceRecorder(tmp_path / "t.trace.jsonl", process="server")
         with rec.span("submit", trace_id="t1", job_id="j1"):
             pass
-        start, end = read_trace_events(rec.path)
+        start, end = read_records(rec.path)
         assert start["phase"] == "start" and end["phase"] == "end"
         assert start["span_id"] == end["span_id"]
         assert start["trace_id"] == end["trace_id"] == "t1"
@@ -62,7 +66,7 @@ class TestTraceRecorder:
         with rec.span("outer", trace_id="t1") as outer:
             with rec.span("inner") as inner:
                 assert inner.trace_id == "t1"
-        events = read_trace_events(rec.path)
+        events = read_records(rec.path)
         inner_start = [e for e in events if e["name"] == "inner"][0]
         assert inner_start["parent_id"] == outer.span_id
         assert inner_start["trace_id"] == "t1"
@@ -72,7 +76,7 @@ class TestTraceRecorder:
         with pytest.raises(RuntimeError):
             with rec.span("boom", trace_id="t1"):
                 raise RuntimeError("kaput")
-        end = read_trace_events(rec.path)[-1]
+        end = read_records(rec.path)[-1]
         assert end["status"] == "error"
         assert "RuntimeError: kaput" in end["error"]
 
@@ -80,7 +84,7 @@ class TestTraceRecorder:
         rec = TraceRecorder(tmp_path / "t.trace.jsonl", process="w")
         with rec.span("register", trace_id="t1") as span:
             span.annotate(version=3)
-        end = read_trace_events(rec.path)[-1]
+        end = read_records(rec.path)[-1]
         assert end["version"] == 3
 
     def test_thread_local_stacks_do_not_cross(self, tmp_path):
@@ -108,29 +112,23 @@ class TestTraceRecorder:
         with rec.span("anything", trace_id="t1") as span:
             span.annotate(x=1)
         assert isinstance(NULL_TRACE_RECORDER, TraceRecorder)
-        assert read_trace_events(rec.path) == []
+        assert rec.path is None
+        assert rec.profile() == []
+
+    def test_annotate_dict_and_non_finite_write_strict_json(self, tmp_path):
+        # Regression: a dict field was written as its Python repr, and a
+        # non-finite float as a bare -Infinity token.
+        rec = TraceRecorder(tmp_path / "t.trace.jsonl", process="w")
+        with rec.span("s", trace_id="t1", shape=np.array([2, 3])) as span:
+            span.annotate(info={"k": np.int64(3)}, hv=float("-inf"))
+        start, end = strict_lines(rec.path)
+        assert start["shape"] == [2, 3]
+        assert end["info"] == {"k": 3}
+        assert type(end["info"]["k"]) is int
+        assert end["hv"] is None
 
 
 class TestReaders:
-    def test_torn_tail_is_dropped(self, tmp_path):
-        rec = TraceRecorder(tmp_path / "t.trace.jsonl", process="w")
-        with rec.span("ok", trace_id="t1"):
-            pass
-        with rec.path.open("a", encoding="utf-8") as fh:
-            fh.write('{"phase": "start", "span_id": "torn')  # kill -9 artifact
-        events = read_trace_events(rec.path)
-        assert len(events) == 2
-        assert all(e["name"] == "ok" for e in events)
-
-    def test_corrupt_interior_line_raises(self, tmp_path):
-        path = tmp_path / "t.trace.jsonl"
-        path.write_text('not json\n{"phase": "start"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match="corrupt trace record at line 1"):
-            read_trace_events(path)
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert read_trace_events(tmp_path / "absent.trace.jsonl") == []
-
     def test_collect_filters_by_trace_id_across_files(self, tmp_path):
         a = TraceRecorder.for_process(tmp_path, "server")
         b = TraceRecorder(tmp_path / f"worker-99{TRACE_FILE_SUFFIX}", process="worker")
@@ -144,6 +142,144 @@ class TestReaders:
         assert {e["name"] for e in events} == {"submit", "attempt"}
         assert all(e["trace_id"] == "t1" for e in events)
         assert len(collect_trace(tmp_path)) == 6
+
+
+class TestSpanAggregation:
+    def test_repeated_spans_merge_into_one_node(self):
+        rec = TraceRecorder()
+        for _ in range(3):
+            with rec.span("generation"):
+                with rec.span("evaluate"):
+                    pass
+        (gen,) = rec.profile()
+        assert gen["name"] == "generation"
+        assert gen["count"] == 3
+        (child,) = gen["children"]
+        assert child["name"] == "evaluate"
+        assert child["count"] == 3
+
+    def test_same_name_under_different_parents_stays_separate(self):
+        rec = TraceRecorder()
+        with rec.span("rank"):
+            with rec.span("kernel"):
+                pass
+        with rec.span("migrate"):
+            with rec.span("kernel"):
+                pass
+        profile = rec.profile()
+        assert [node["name"] for node in profile] == ["rank", "migrate"]
+        assert [node["children"][0]["count"] for node in profile] == [1, 1]
+
+    def test_self_time_excludes_children(self):
+        rec = TraceRecorder()
+        with rec.span("outer"):
+            with rec.span("inner"):
+                pass
+        (outer,) = rec.profile()
+        assert outer["self_s"] == pytest.approx(
+            outer["total_s"] - outer["children"][0]["total_s"]
+        )
+        assert outer["self_s"] >= 0.0
+
+    def test_exception_unwinds_stack_and_records_time(self):
+        rec = TraceRecorder()
+        with pytest.raises(RuntimeError):
+            with rec.span("run"):
+                with rec.span("generation"):
+                    raise RuntimeError("boom")
+        assert rec._thread_stack() == []
+        (run,) = rec.profile()
+        assert run["count"] == 1
+        assert run["children"][0]["count"] == 1
+        # Recorder still usable after the unwind.
+        with rec.span("run"):
+            pass
+        (run,) = rec.profile()
+        assert run["count"] == 2
+
+    def test_file_recorder_aggregates_too(self, tmp_path):
+        rec = TraceRecorder(tmp_path / "t.trace.jsonl", process="w")
+        with rec.span("worker:attempt", trace_id="t1"):
+            with rec.span("worker:run"):
+                pass
+        (attempt,) = rec.profile()
+        assert attempt["children"][0]["name"] == "worker:run"
+        assert len(read_records(rec.path)) == 4
+
+    def test_threads_aggregate_like_sequential_spans(self):
+        n_threads = 8
+
+        def work(rec, rounds=200):
+            for _ in range(rounds):
+                with rec.span("generation"):
+                    with rec.span("evaluate"):
+                        pass
+                    with rec.span("rank"):
+                        with rec.span("kernel"):
+                            pass
+
+        def shape(nodes):
+            return sorted(
+                (n["name"], n["count"], shape(n["children"])) for n in nodes
+            )
+
+        sequential = TraceRecorder()
+        for _ in range(n_threads):
+            work(sequential)
+        threaded = TraceRecorder()
+        barrier = threading.Barrier(n_threads)
+
+        def run():
+            barrier.wait()
+            work(threaded)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving inside span()/_finish()
+        try:
+            threads = [threading.Thread(target=run) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert shape(threaded.profile()) == shape(sequential.profile())
+
+
+class TestFormatting:
+    def _recorder(self):
+        rec = TraceRecorder()
+        with rec.span("run"):
+            for _ in range(2):
+                with rec.span("generation"):
+                    with rec.span("evaluate"):
+                        pass
+        return rec
+
+    def test_format_profile_lists_every_span(self):
+        text = format_profile(self._recorder().profile())
+        assert "run" in text
+        assert "  generation" in text
+        assert "    evaluate" in text
+        assert "2x" in text
+
+    def test_format_profile_round_trips_through_json(self):
+        profile = json.loads(json.dumps(self._recorder().profile()))
+        assert "generation" in format_profile(profile)
+
+    def test_empty_profile(self):
+        assert format_profile([]) == "(no spans recorded)"
+        assert format_profile(TraceRecorder().profile()) == "(no spans recorded)"
+
+
+class TestNullRecorder:
+    def test_shared_noop_span(self):
+        assert NullTraceRecorder().span("a") is NULL_TRACE_RECORDER.span("b")
+        with NULL_TRACE_RECORDER.span("anything", trace_id="t") as span:
+            span.annotate(x=1)
+            assert span.span_id is None
+        assert NULL_TRACE_RECORDER.profile() == []
 
 
 class TestStitching:

@@ -312,14 +312,14 @@ class TestResultSerialization:
         # Regression: `hasattr(value, "item")` matched whole ndarrays and
         # `.item()` on >1 element raises ValueError, failing the job at
         # result-recording time after the optimization had succeeded.
-        from repro.serve.jobs import _jsonable
+        from repro.obs.records import jsonable
 
         payload = {
             "front": np.arange(6.0).reshape(3, 2),
             "scalar": np.float64(1.5),
             "nested": [np.array([1, 2, 3])],
         }
-        assert _jsonable(payload) == {
+        assert jsonable(payload) == {
             "front": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]],
             "scalar": 1.5,
             "nested": [[1, 2, 3]],
@@ -538,9 +538,9 @@ class TestTraceIds:
             )
             done = wait_terminal(manager, job.id)
             assert done["state"] == "done"
-            from repro.experiments.ledger import read_ledger
+            from repro.obs.records import read_records
 
-            events = read_ledger(done["ledger_path"])
+            events = read_records(done["ledger_path"])
             assert events
             assert all(e.get("trace_id") == "prov-trace" for e in events)
             meta = store.metadata("traced")

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from repro.obs.registry import MetricsRegistry
-from repro.serve.store import (
-    JobQueueFull,
-    JobRecord,
-    JobStore,
-    UnknownJob,
-    _jsonable,
-)
+from repro.serve.store import JobQueueFull, JobRecord, JobStore, UnknownJob
 
 
 def make_record(job_id, **params):
@@ -276,20 +270,28 @@ class TestPersistence:
 
 
 class TestJsonable:
+    """The public snapshot converts through :func:`repro.obs.records.jsonable`."""
+
+    @staticmethod
+    def _result(value):
+        record = make_record("job-j")
+        record.result = {"value": value}
+        return record.snapshot()["result"]["value"]
+
     def test_multi_element_ndarray_becomes_nested_list(self):
         # Regression: a multi-element ndarray has `.item` too, and
         # calling it raises ValueError — arrays must go through tolist().
-        value = {"front": np.arange(6.0).reshape(2, 3)}
-        assert _jsonable(value) == {"front": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]}
+        value = np.arange(6.0).reshape(2, 3)
+        assert self._result(value) == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
     def test_numpy_scalars_and_nonfinite(self):
-        assert _jsonable(np.float64(2.5)) == 2.5
-        assert _jsonable(np.int32(7)) == 7
-        assert _jsonable(float("nan")) is None
-        assert _jsonable([np.float64("inf"), 1.0]) == [None, 1.0]
+        assert self._result(np.float64(2.5)) == 2.5
+        assert self._result(np.int32(7)) == 7
+        assert self._result(float("nan")) is None
+        assert self._result([np.float64("inf"), 1.0]) == [None, 1.0]
 
     def test_nonfinite_inside_ndarray(self):
-        assert _jsonable(np.array([1.0, float("inf")])) == [1.0, None]
+        assert self._result(np.array([1.0, float("inf")])) == [1.0, None]
 
 
 class TestTraceId:
