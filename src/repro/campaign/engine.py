@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
 import uuid
 from pathlib import Path
@@ -562,8 +563,12 @@ class CampaignRunner:
         for value in yields:
             self._m_yield.observe(float(value))
         # Exclusive create: exactly one finalizer publishes the report;
-        # a concurrent loser adopts the winner's bytes.
-        tmp = report_file.with_name(report_file.name + f".tmp-{os.getpid()}")
+        # a concurrent loser adopts the winner's bytes.  The temp name is
+        # per thread too: a worker thread and a request thread of one
+        # process can finalize the same campaign at once.
+        tmp = report_file.with_name(
+            f"{report_file.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+        )
         with tmp.open("w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")

@@ -19,7 +19,7 @@ every sample against every candidate at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Sequence
 
 import numpy as np
@@ -36,18 +36,39 @@ _SCALAR_DEVICE_FIELDS = (
     "cj", "cjsw", "cov", "ldif", "a_vt", "a_beta",
 )
 
+#: The only fields stacking turns into ``(k, 1)`` columns.  The stacked
+#: card keeps card 0's value of every other field, so all cards must
+#: agree on those (the card ``name`` aside).
+_STACKED_DEVICE_FIELDS = ("u0", "vt0")
+_SHARED_CARD_FIELDS = tuple(
+    f.name for f in fields(Technology) if f.name not in ("name", "nmos", "pmos")
+)
+
 
 def _check_stackable(techs: Sequence[Technology]) -> None:
     """Validate that *techs* are variants of one device family.
 
     Stacking cards whose devices differ in type (polarity / mobility
-    model) would silently average apples with oranges, and cards whose
+    model) would silently average apples with oranges, cards whose
     "scalar" fields are already arrays (e.g. a previously stacked card)
     would fail much later as an opaque broadcasting error deep inside
-    ``analyze_integrator``.  Fail fast with a clear message instead.
+    ``analyze_integrator``, and a card whose unstacked fields differ
+    from card 0's would silently be analysed with card 0's values.
+    Fail fast with a clear message instead.
     """
     ref = techs[0]
+
+    def check_shared(i: int, tech: Technology, field: str, value, ref_value) -> None:
+        if not np.array_equal(value, ref_value):
+            raise ValueError(
+                f"cannot stack technology cards: card {i} ({tech.name!r}) "
+                f"has {field}={value!r} but card 0 ({ref.name!r}) has "
+                f"{ref_value!r}; only u0 and vt0 are stacked"
+            )
+
     for i, tech in enumerate(techs):
+        for field in _SHARED_CARD_FIELDS:
+            check_shared(i, tech, field, getattr(tech, field), getattr(ref, field))
         for kind in ("nmos", "pmos"):
             dev = tech.device(kind)
             ref_dev = ref.device(kind)
@@ -69,6 +90,11 @@ def _check_stackable(techs: Sequence[Technology]) -> None:
                         "expected a scalar — stacked cards cannot be "
                         "re-stacked"
                     )
+                if field not in _STACKED_DEVICE_FIELDS:
+                    check_shared(
+                        i, tech, f"{kind}.{field}",
+                        getattr(dev, field), getattr(ref_dev, field),
+                    )
 
 
 def stacked_technology(techs: Sequence[Technology]) -> Technology:
@@ -77,12 +103,15 @@ def stacked_technology(techs: Sequence[Technology]) -> Technology:
     Analyses run under the stacked card produce outputs of shape
     ``(k, n_designs)`` via numpy broadcasting.
 
-    All cards must describe the same device family: per device kind the
-    polarity and mobility exponent must match card 0, and every
-    device-parameter field must be scalar (in particular, a card that is
-    itself the output of ``stacked_technology`` is rejected).  Violations
-    raise :class:`ValueError` here rather than surfacing as broadcasting
-    errors inside ``analyze_integrator``.
+    Only the devices' ``u0`` and ``vt0`` are stacked; the result keeps
+    card 0's value of every other field.  So all cards must describe the
+    same device family: per device kind the polarity and mobility
+    exponent must match card 0, every device-parameter field must be
+    scalar (in particular, a card that is itself the output of
+    ``stacked_technology`` is rejected), and every other field (``vdd``,
+    ``temperature``, ``cox``, ...) must equal card 0's.  Violations raise
+    :class:`ValueError` here rather than surfacing as broadcasting
+    errors inside ``analyze_integrator`` or as silently wrong results.
     """
     if not techs:
         raise ValueError("need at least one technology to stack")

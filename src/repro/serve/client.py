@@ -1,8 +1,17 @@
-"""Stdlib (``urllib``) client for the ``repro serve`` JSON API.
+"""Stdlib (``http.client``) client for the ``repro serve`` JSON API.
 
 Used by the CLI verbs (``repro submit`` / ``repro query``), the tests
 and the CI smoke job — anything that talks to a running service without
 wanting a third-party HTTP dependency.
+
+Connections: each thread that uses a client keeps one HTTP/1.1
+connection to the server and sends every request over it (keep-alive),
+so a burst of queries pays for connection set-up once.  Before reusing
+a connection the client checks whether the server has closed it (idle
+past the server's request timeout, or the server shut down) and opens
+a fresh one if so.  A GET or DELETE that fails on a reused connection
+is sent once more on a fresh one; a POST is never resent.  Proxy
+environment variables (``http_proxy``) are not honoured.
 
 Error contract: non-2xx responses raise :class:`ServeError` carrying the
 HTTP status and the server's ``error`` message; connection problems
@@ -13,15 +22,30 @@ whether "server not up yet" is fatal).
 from __future__ import annotations
 
 import json
+import select
+import socket
+import threading
 import time
-from typing import Any, Dict, List, Optional
-from urllib.error import HTTPError
-from urllib.parse import quote, urlencode
-from urllib.request import Request, urlopen
+from http.client import HTTPConnection, HTTPSConnection
+from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import quote, urlencode, urlsplit
 
 __all__ = ["ServeClient", "ServeError"]
 
 _TERMINAL_STATES = ("done", "failed", "cancelled")
+
+
+def _dropped(sock: socket.socket) -> bool:
+    """Whether an idle kept-alive socket reads as readable.
+
+    An idle HTTP/1.1 connection has nothing to read, so readable means
+    the server closed it (EOF) or reset it.
+    """
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 class ServeError(RuntimeError):
@@ -34,13 +58,44 @@ class ServeError(RuntimeError):
 
 
 class ServeClient:
-    """Minimal JSON client bound to one service base URL."""
+    """Minimal JSON client bound to one service base URL.
+
+    Safe to share between threads: each thread gets its own connection.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = float(timeout)
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https"):
+            raise ValueError(f"unsupported URL scheme in {base_url!r}")
+        self._connection_class = (
+            HTTPSConnection if parts.scheme == "https" else HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
 
     # ------------------------------------------------------------- plumbing
+
+    def _connection(self) -> Tuple[HTTPConnection, bool]:
+        """This thread's connection, and whether it has carried a request."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            if conn.sock is not None and not _dropped(conn.sock):
+                return conn, True
+            conn.close()
+        conn = self._connection_class(self._netloc, timeout=self.timeout)
+        self._local.conn = conn
+        return conn, False
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request opens
+        a new one)."""
+        conn = getattr(self._local, "conn", None)
+        self._local.conn = None
+        if conn is not None:
+            conn.close()
 
     def _request(
         self,
@@ -56,21 +111,35 @@ class ServeClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = Request(
-            self.base_url + path, data=data, headers=headers, method=method
-        )
-        try:
-            with urlopen(request, timeout=self.timeout) as response:
-                body = response.read().decode("utf-8")
-                content_type = response.headers.get("Content-Type", "")
-        except HTTPError as exc:
-            detail = exc.read().decode("utf-8", errors="replace")
+        target = self._prefix + path
+        while True:
+            conn, reused = self._connection()
             try:
-                message = json.loads(detail).get("error", detail)
+                try:
+                    conn.request(method, target, body=data, headers=headers)
+                except (BrokenPipeError, ConnectionResetError):
+                    if data is None:
+                        raise
+                    # The server may answer before it has read the whole
+                    # body (a 413); that answer is still there to read.
+                response = conn.getresponse()
+                body = response.read().decode("utf-8")
+            except BaseException as exc:
+                self.close()
+                # The server may close an idle connection just as a
+                # request goes out on it.  A GET or DELETE is safe to
+                # send again; a POST might then run twice.
+                if reused and method != "POST" and isinstance(exc, ConnectionError):
+                    continue
+                raise
+            break
+        if not 200 <= response.status < 300:
+            try:
+                message = json.loads(body).get("error", body)
             except (json.JSONDecodeError, AttributeError):
-                message = detail.strip() or exc.reason
-            raise ServeError(exc.code, str(message)) from None
-        if content_type.startswith("application/json"):
+                message = body.strip() or response.reason
+            raise ServeError(response.status, str(message))
+        if response.getheader("Content-Type", "").startswith("application/json"):
             return json.loads(body)
         return body
 

@@ -38,11 +38,17 @@ Design notes:
 * **Backpressure, not buffering.**  A full job queue returns 429 with a
   ``Retry-After`` hint; the server never queues unboundedly on behalf of
   clients.
+* **Kept-alive connections.**  Connections are HTTP/1.1 and stay open
+  between requests; each has its own handler thread.  The handler
+  disables Nagle's algorithm, so a reply's header and body writes are
+  not held back waiting for the client's delayed ACK.
 * **Graceful shutdown.**  :meth:`ReproServer.close` stops accepting
-  connections, then drains the job pool (in-flight jobs finish and
-  register their surfaces) unless asked to cancel instead.
+  connections and cuts the open ones, then drains the job pool
+  (in-flight jobs finish and register their surfaces) unless asked to
+  cancel instead.
 * **Request timeouts.**  The per-connection socket timeout bounds how
-  long a slow client can pin a handler thread.
+  long a slow client can pin a handler thread, and how long an idle
+  kept-alive connection stays open.
 
 The optimization work itself never runs on a request thread — requests
 only enqueue jobs and read state, so the API stays responsive while the
@@ -52,10 +58,11 @@ pool crunches.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.campaign.engine import CampaignRunner, UnknownCampaign
@@ -439,17 +446,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    disable_nagle_algorithm = True
 
     def _serve(self, method: str) -> None:
         body = b""
-        if method in ("POST", "PUT"):
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
-                self._reply(413, "application/json",
-                            b'{"error": "request body too large"}\n')
-                return
-            if length:
-                body = self.rfile.read(length)
+        length = int(self.headers.get("Content-Length") or 0)
+        if length > MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry
+            # another request: its bytes would parse as one.
+            self.close_connection = True
+            self._reply(413, "application/json",
+                        b'{"error": "request body too large"}\n')
+            return
+        if length:
+            body = self.rfile.read(length)
         app: ServeApp = self.server.app  # type: ignore[attr-defined]
         headers = {k.lower(): v for k, v in self.headers.items()}
         status, content_type, payload = app.handle(
@@ -463,6 +473,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         if status == 429:
             self.send_header("Retry-After", "1")
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
@@ -481,6 +493,43 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """Thread-per-connection HTTP server that can cut its open connections."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler, app: ServeApp) -> None:
+        super().__init__(address, handler)
+        self.app = app
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def cut_connections(self) -> None:
+        """Shut every open connection down in both directions.
+
+        Handler threads are daemons that nobody joins; one waiting for a
+        kept-alive client's next request would otherwise keep answering
+        after the server closed.  Now it reads EOF and exits, and the
+        client sees the connection closed.
+        """
+        with self._connections_lock:
+            for request in self._connections:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+
+
 class ReproServer:
     """A running service: threaded HTTP front end over app + job pool.
 
@@ -496,12 +545,10 @@ class ReproServer:
         request_timeout: float = 30.0,
     ) -> None:
         self.app = app
+        # The socket timeout bounds both a stalled request and an idle
+        # kept-alive connection, so neither pins a thread for longer.
         handler = type("BoundHandler", (_Handler,), {"timeout": request_timeout})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
-        self._httpd.app = app  # type: ignore[attr-defined]
-        # Bound socket timeout so a stalled client cannot pin a thread.
-        self._request_timeout = request_timeout
+        self._httpd = _HTTPServer((host, port), handler, app)
         self._thread: Optional[threading.Thread] = None
         self._closed = False
 
@@ -529,7 +576,8 @@ class ReproServer:
         return self
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Graceful shutdown: stop accepting, then drain the job pool.
+        """Graceful shutdown: stop accepting, cut open connections, then
+        drain the job pool.
 
         With ``drain=False``, queued jobs are cancelled and running jobs
         stop at their next generation boundary instead.  Idempotent.
@@ -540,6 +588,7 @@ class ReproServer:
         self._httpd.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
+        self._httpd.cut_connections()
         self._httpd.server_close()
         self.app.manager.shutdown(drain=drain, timeout=timeout)
 

@@ -93,6 +93,13 @@ class _LruCache:
 class SurfaceStore:
     """Registry of versioned :class:`DesignSurface` JSON artifacts.
 
+    Versions of a name are contiguous (``v0001`` .. ``vNNNN``, no gaps):
+    :meth:`register` hands out the next free number and nothing deletes
+    one.  Finding the latest version relies on that: the store checks
+    only for the version after the one it last saw, instead of listing
+    the directory.  Files removed or added by hand outside that scheme
+    can hide versions from :meth:`latest_version`.
+
     Parameters
     ----------
     root:
@@ -109,6 +116,7 @@ class SurfaceStore:
         self._lock = threading.RLock()
         self._surfaces = _LruCache(max(8, cache_size // 64))
         self._queries = _LruCache(cache_size)
+        self._latest: Dict[str, int] = {}
         self.n_registered = 0
 
     # -------------------------------------------------------------- catalog
@@ -142,7 +150,33 @@ class SurfaceStore:
             return found
 
     def latest_version(self, name: str) -> int:
-        return self.versions(name)[-1]
+        _check_name(name)
+        with self._lock:
+            version = self._latest_or_zero(name)
+        if not version:
+            raise UnknownSurface(name)
+        return version
+
+    def _latest_or_zero(self, name: str) -> int:
+        """Latest version of *name*, 0 if it has none (caller holds the lock).
+
+        Versions are contiguous, so from the latest version seen before
+        only the next one can have appeared, perhaps registered by
+        another process: a ``stat`` per step finds it, where a listing
+        costs more with every version.  A cold cache, or a cached version
+        whose file is gone, falls back to listing the directory.
+        """
+        version = self._latest.get(name, 0)
+        if version and self.path_for(name, version).exists():
+            while self.path_for(name, version + 1).exists():
+                version += 1
+        else:
+            directory = self.root / name
+            found = self._versions_in(directory) if directory.is_dir() else []
+            version = found[-1] if found else 0
+        if version:
+            self._latest[name] = version
+        return version
 
     def path_for(self, name: str, version: int) -> Path:
         _check_name(name)
@@ -183,16 +217,15 @@ class SurfaceStore:
                 os.fsync(fh.fileno())
             try:
                 while True:
-                    existing = self._versions_in(directory)
-                    version = (existing[-1] + 1) if existing else 1
-                    path = self.path_for(name, version)
+                    version = self._latest_or_zero(name) + 1
                     try:
-                        os.link(tmp, path)
+                        os.link(tmp, self.path_for(name, version))
                     except FileExistsError:
                         continue  # another process claimed this version
                     break
             finally:
                 os.unlink(tmp)
+            self._latest[name] = version
             if metadata is not None:
                 self.meta_path_for(name, version).write_text(
                     json.dumps(metadata, indent=2, default=str) + "\n",

@@ -7,6 +7,8 @@ was interrupted mid-campaign and resumed by a different runner instance
 """
 
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -163,6 +165,40 @@ class TestFinalize:
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
         )
+
+    def test_concurrent_finalizers_in_one_process(
+        self, runner, tiny_spec, batch, monkeypatch
+    ):
+        """Two threads that both reach the exclusive create: one
+        publishes the report, the other adopts it, and neither raises."""
+        x, c_load, power = batch
+        manifest = runner.create(tiny_spec, x, c_load, power)
+        for index in range(len(manifest["shards"])):
+            runner.run_shard(manifest, index)
+        both_written = threading.Barrier(2, timeout=30)
+        real_link = os.link
+
+        def link_when_both_written(src, dst):
+            both_written.wait()
+            return real_link(src, dst)
+
+        monkeypatch.setattr(os, "link", link_when_both_written)
+        reports, errors = [], []
+
+        def finalize():
+            try:
+                reports.append(runner.finalize(manifest))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=finalize) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert errors == []
+        assert len(reports) == 2
+        assert comparable(reports[0]) == comparable(reports[1])
 
     def test_report_contents(self, runner, tiny_spec, batch):
         x, c_load, power = batch

@@ -77,6 +77,26 @@ class TestStackedTechnology:
         with pytest.raises(ValueError, match="different nmos device type"):
             stacked_technology([base, swapped])
 
+    def test_supply_and_temperature_mismatch_rejected(self):
+        """A 1.62 V / 358 K card used to stack as card 0's 1.8 V / 300 K."""
+        from dataclasses import replace
+
+        base = nominal_technology()
+        assert (base.vdd, base.temperature) == (1.8, 300.0)
+        hot_low = replace(base, name="hot-low", vdd=1.62, temperature=358.0)
+        with pytest.raises(ValueError, match="card 1 .* has vdd=1.62"):
+            stacked_technology([base, hot_low])
+        with pytest.raises(ValueError, match="has temperature=358.0"):
+            stacked_technology([base, replace(base, temperature=358.0)])
+
+    def test_unstacked_device_field_mismatch_rejected(self):
+        from dataclasses import replace
+
+        base = nominal_technology()
+        thick = replace(base, pmos=replace(base.pmos, cox=base.pmos.cox / 2))
+        with pytest.raises(ValueError, match="pmos.cox"):
+            stacked_technology([base, thick])
+
 
 class TestMonteCarloSampler:
     def test_deterministic_given_seed(self):

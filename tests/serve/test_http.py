@@ -1,5 +1,6 @@
-"""HTTP layer: routing/error paths (socket-free via ServeApp.handle) and
-one real end-to-end flow over a live server.
+"""HTTP layer: routing/error paths (socket-free via ServeApp.handle),
+one real end-to-end flow over a live server, and the kept-alive
+connection model between ServeClient and ReproServer.
 
 The e2e test is the PR's acceptance gate: submit -> optimize -> surface
 registration -> HTTP query, with served ``power_at`` answers
@@ -9,6 +10,7 @@ byte-identical to calling :class:`DesignSurface` directly, and
 
 import json
 import math
+import socket
 import struct
 import threading
 import time
@@ -29,6 +31,7 @@ from repro.serve import (
     ServeError,
     SurfaceStore,
 )
+from repro.serve.http import MAX_BODY_BYTES, _HTTPServer
 
 DEADLINE_S = 30.0
 
@@ -419,3 +422,152 @@ class TestWorkerMetricsMerge:
             assert ages["w-ext"]["last_flush_age_s"] >= 0.0
         finally:
             app.manager.shutdown()
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """Client addresses of every connection a live server accepts."""
+    seen = []
+    real = _HTTPServer.process_request
+
+    def counting(self, request, client_address):
+        seen.append(client_address)
+        real(self, request, client_address)
+
+    monkeypatch.setattr(_HTTPServer, "process_request", counting)
+    return seen
+
+
+def surface_server(tmp_path, request_timeout=30.0):
+    """A server (not started yet) over one registered surface."""
+    registry = MetricsRegistry()
+    store = SurfaceStore(tmp_path / "surfaces")
+    store.register("amp", DesignSurface.from_result(build_summary().result))
+    manager = JobManager(
+        store=store, data_dir=tmp_path, workers=0, metrics=registry
+    )
+    app = ServeApp(manager, store, registry)
+    return ReproServer(app, request_timeout=request_timeout)
+
+
+def same_float(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestKeepAlive:
+    def test_one_connection_carries_many_queries(self, tmp_path, accepted):
+        with surface_server(tmp_path) as server:
+            client = ServeClient(server.url)
+            round_trips = []
+            for i in range(50):
+                began = time.perf_counter()
+                answer = client.query("amp", (1 + i % 3) * 1e-12)
+                round_trips.append(time.perf_counter() - began)
+                assert math.isfinite(answer["power"])
+            client.close()
+        assert len(accepted) == 1
+        # Nagle's algorithm against the client's delayed ACK would hold
+        # every kept-alive reply back by ~40 ms.
+        assert float(np.median(round_trips)) < 0.02
+
+    def test_closed_server_cuts_kept_alive_connection(self, tmp_path, accepted):
+        server = surface_server(tmp_path).start()
+        client = ServeClient(server.url)
+        assert client.healthz()["status"] == "ok"
+        server.close()
+        with pytest.raises(OSError):
+            client.healthz()
+        assert len(accepted) == 1
+
+    def test_idle_timeout_drop_is_replaced(self, tmp_path, accepted):
+        with surface_server(tmp_path, request_timeout=0.2) as server:
+            client = ServeClient(server.url)
+            assert client.healthz()["status"] == "ok"
+            time.sleep(0.6)  # the server drops the idle connection
+            # A POST is never resent, so this passes only if the client
+            # noticed the drop before sending.
+            assert client.submit({"algorithm": "sacga"})["state"] == "queued"
+            client.close()
+        assert len(accepted) == 2
+
+    def test_get_is_resent_on_a_stale_connection_post_is_not(
+        self, tmp_path, accepted, monkeypatch
+    ):
+        import repro.serve.client as client_module
+
+        # Hide the drop from the pre-send check, as when the server
+        # closes the connection just as a request goes out.
+        monkeypatch.setattr(client_module, "_dropped", lambda sock: False)
+        with surface_server(tmp_path, request_timeout=0.2) as server:
+            client = ServeClient(server.url)
+            assert client.healthz()["status"] == "ok"
+            time.sleep(0.6)
+            assert client.healthz()["status"] == "ok"
+            time.sleep(0.6)
+            with pytest.raises(OSError):
+                client.submit({"algorithm": "sacga"})
+            assert server.app.manager.list_jobs() == []
+            client.close()
+        assert len(accepted) == 2
+
+    def test_413_closes_connection_and_client_recovers(self, tmp_path, accepted):
+        with surface_server(tmp_path) as server:
+            client = ServeClient(server.url)
+            assert client.healthz()["status"] == "ok"
+            with pytest.raises(ServeError) as excinfo:
+                client.submit({"algorithm": "sacga", "pad": "x" * MAX_BODY_BYTES})
+            assert excinfo.value.status == 413
+            assert client.healthz()["status"] == "ok"
+            client.close()
+        assert len(accepted) == 2
+
+    def test_413_unread_body_is_not_parsed_as_a_request(self, tmp_path):
+        with surface_server(tmp_path) as server:
+            smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            head = (
+                b"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1)
+            )
+            with socket.create_connection(
+                (server.host, server.port), timeout=DEADLINE_S
+            ) as sock:
+                sock.sendall(head + smuggled)
+                reply = b""
+                while True:  # the server closes after its one reply
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    reply += chunk
+        assert reply.startswith(b"HTTP/1.1 413")
+        assert b"\r\nConnection: close\r\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_threads_share_one_client(self, tmp_path, accepted):
+        with surface_server(tmp_path) as server:
+            direct = server.app.store.load("amp")
+            client = ServeClient(server.url)
+            lo, hi = direct.load_range
+            loads = list(np.linspace(lo, hi * 1.2, 40))
+            mismatches, errors = [], []
+
+            def query_all():
+                try:
+                    for c_load in loads:
+                        served = client.query("amp", c_load)["power"]
+                        expected = float(direct.power_at(c_load))
+                        if not (
+                            same_float(served, expected)
+                            or (math.isnan(served) and math.isnan(expected))
+                        ):
+                            mismatches.append((c_load, served, expected))
+                    client.close()
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=query_all) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(DEADLINE_S)
+        assert errors == [] and mismatches == []
+        assert len(accepted) == 4

@@ -91,6 +91,47 @@ class TestVersioning:
         assert info["path"].endswith("v0001.json")
 
 
+class TestLatestVersion:
+    def test_version_registered_by_another_store_is_served(self, tmp_path):
+        first = SurfaceStore(tmp_path)
+        first.register("amp", make_surface([1, 2], [1, 2]))
+        assert first.power_at("amp", 1.5e-12) == pytest.approx(1.5e-3)
+        second = SurfaceStore(tmp_path)
+        second.register("amp", make_surface([1, 2], [3, 4]))
+        expected = float(second.load("amp").power_at(1.5e-12))
+        served = first.power_at("amp", 1.5e-12)
+        assert struct.pack("<d", served) == struct.pack("<d", expected)
+        assert first.latest_version("amp") == 2
+
+    def test_query_lists_no_directory_once_cached(self, tmp_path, monkeypatch):
+        SurfaceStore(tmp_path).register("amp", make_surface([1, 2], [1, 2]))
+        store = SurfaceStore(tmp_path)
+        listed = []
+        real = store._versions_in
+        monkeypatch.setattr(
+            store, "_versions_in", lambda d: listed.append(d) or real(d)
+        )
+        for i in range(5):
+            store.power_at("amp", (1 + i * 0.1) * 1e-12)
+        assert len(listed) == 1  # the cold cache
+        store.register("amp", make_surface([1, 2], [3, 4]))
+        for i in range(5):
+            store.power_at("amp", (1 + i * 0.1) * 1e-12)
+        assert len(listed) == 1
+        assert store.latest_version("amp") == 2
+
+    def test_missing_cached_version_falls_back_to_listing(self, tmp_path):
+        store = SurfaceStore(tmp_path)
+        store.register("amp", make_surface([1, 2], [1, 2]))
+        store.register("amp", make_surface([1, 2], [3, 4]))
+        assert store.latest_version("amp") == 2
+        store.path_for("amp", 2).unlink()
+        assert store.latest_version("amp") == 1
+        store.path_for("amp", 1).unlink()
+        with pytest.raises(UnknownSurface):
+            store.latest_version("amp")
+
+
 class TestQueries:
     def test_power_at_byte_identical_to_direct_call(self, tmp_path):
         store = SurfaceStore(tmp_path)
