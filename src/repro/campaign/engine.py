@@ -8,6 +8,7 @@ A campaign lives in a directory under the runner's root::
         designs.json             the design batch (x, c_load, nominal power)
         shards/shard-0000.json   one atomic result file per shard
         report.json              the aggregated report (written exactly once)
+        finalize.lock            flock target that serializes finalizers
 
 Execution modes share every byte of evaluation and aggregation code:
 
@@ -31,10 +32,10 @@ inline and durable modes.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
-import threading
 import time
 import uuid
 from pathlib import Path
@@ -271,20 +272,6 @@ class CampaignRunner:
             spec, surface.x, surface.c_load, surface.power, **kwargs
         )
 
-    def create_from_result(
-        self, result, spec: CampaignSpec, **kwargs: Any
-    ) -> Dict[str, Any]:
-        """Campaign over the feasible front of an OptimizationResult."""
-        from repro.experiments.tradeoff import DesignSurface
-
-        surface = DesignSurface.from_result(result)
-        kwargs.setdefault(
-            "source", {"kind": "result", "algorithm": result.algorithm}
-        )
-        return self.create(
-            spec, surface.x, surface.c_load, surface.power, **kwargs
-        )
-
     def create_from_checkpoint(
         self, checkpoint_path: PathLike, spec: CampaignSpec, **kwargs: Any
     ) -> Dict[str, Any]:
@@ -514,16 +501,41 @@ class CampaignRunner:
     def finalize(self, manifest: Dict[str, Any]) -> Dict[str, Any]:
         """Aggregate all shard results into the campaign report.
 
-        Idempotent: the first finalize writes ``report.json`` with an
-        exclusive create (``os.link``) and registers the derated
-        surface; every later call — from any process — returns the
-        stored report without re-registering anything.  Raises
-        :class:`ValueError` while shards are still missing.
+        Idempotent: the first finalize registers the derated surface and
+        writes ``report.json``; every later call, from any thread or
+        process, returns the stored report without re-registering
+        anything.  Finalizers that start together (the worker that lands
+        the last shard and a ``GET /campaigns/<id>``, say) queue on an
+        exclusive ``flock`` of ``finalize.lock``, and the holder checks
+        for the report again before it aggregates, so a campaign
+        registers exactly the one derated version its report names.  A
+        finalizer that dies mid-way leaves no report and drops the lock
+        with its process, so the next call finishes the campaign.
+        Raises :class:`ValueError` while shards are still missing.
         """
         cid = manifest["id"]
         report_file = self.report_path(cid)
         if report_file.exists():
             return json.loads(report_file.read_text(encoding="utf-8"))
+        # Each call opens its own file description, so the lock excludes
+        # other threads of this process as well as other processes.
+        with open(self.campaign_dir(cid) / "finalize.lock", "a") as lock:
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
+            if report_file.exists():
+                return json.loads(report_file.read_text(encoding="utf-8"))
+            report = self._build_report(manifest)
+            _write_json(report_file, report)
+        self._log.info(
+            "campaign finalized",
+            campaign=cid,
+            n_yielding=report["n_yielding"],
+            n_designs=report["n_designs"],
+        )
+        return report
+
+    def _build_report(self, manifest: Dict[str, Any]) -> Dict[str, Any]:
+        """Build the report and register its derated surface (lock held)."""
+        cid = manifest["id"]
         pending = self.pending_shards(manifest)
         if pending:
             raise ValueError(
@@ -562,30 +574,6 @@ class CampaignRunner:
             )
         for value in yields:
             self._m_yield.observe(float(value))
-        # Exclusive create: exactly one finalizer publishes the report;
-        # a concurrent loser adopts the winner's bytes.  The temp name is
-        # per thread too: a worker thread and a request thread of one
-        # process can finalize the same campaign at once.
-        tmp = report_file.with_name(
-            f"{report_file.name}.tmp-{os.getpid()}-{threading.get_ident()}"
-        )
-        with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        try:
-            os.link(tmp, report_file)
-        except FileExistsError:
-            return json.loads(report_file.read_text(encoding="utf-8"))
-        finally:
-            os.unlink(tmp)
-        self._log.info(
-            "campaign finalized",
-            campaign=cid,
-            n_yielding=report["n_yielding"],
-            n_designs=report["n_designs"],
-        )
         return report
 
     def _register_derated(

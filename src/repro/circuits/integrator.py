@@ -7,10 +7,12 @@ exploration.  On top of the two-stage op-amp analysis it derives the
 circuit-level performances that the sizing problem constrains:
 
 * **Settling time (ST)** — slewing plus two-pole linear settling of the
-  closed loop.  The non-dominant pole and RHP zero are part of the loop
-  dynamics (via the damping factor), exactly the "more non-linear"
-  equations the paper credits for making the whole search space visible
-  to the optimizer.
+  closed loop.  The non-dominant pole enters through the damping factor
+  ``zeta = 0.5 * sqrt(p2 / wc)``; the RHP zero does not enter settling
+  at all.  It enters only the phase margin
+  (:func:`~repro.circuits.opamp.phase_margin_deg`).  Those non-dominant
+  terms are the "more non-linear" equations the paper credits for
+  making the whole search space visible to the optimizer.
 * **Settling error (SE)** — static closed-loop gain error
   ``1 / (1 + A0 * beta)`` (CDS cancels offset and 1/f residue, so the
   finite-gain term dominates).

@@ -17,9 +17,9 @@ Subcommands
     result is byte-identical to an uninterrupted run.
 
 ``repro trace LEDGER``
-    Summarize a run ledger, or tail its last events with ``--tail N``.
-    ``repro trace RUN.profile.json --profile`` renders the timing-span
-    tree written by ``repro run --metrics-out``.
+    Summarize a run ledger, then print the timing-span tree of each
+    instrumented run in it (``repro run --metrics --ledger``); or tail
+    its last events with ``--tail N``.
 
 ``repro stats RUN``
     Print the metrics snapshot of an instrumented run (*RUN* is a
@@ -156,14 +156,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         **kwargs,
     )
     _print_run_summary(summary, max_rows=args.max_rows, json_path=args.json)
-    _print_metrics_outcome(summary)
+    _print_metrics_outcome(summary, args.metrics_out)
     return 0
 
 
-def _print_metrics_outcome(summary: RunSummary) -> None:
-    if summary.metrics_paths:
-        for kind, path in summary.metrics_paths.items():
-            print(f"wrote {path}")
+def _print_metrics_outcome(summary: RunSummary, metrics_out: Optional[str]) -> None:
+    if metrics_out is not None:
+        print(f"wrote {metrics_out}.prom")
     if summary.profile:
         print(format_profile(summary.profile))
 
@@ -173,31 +172,32 @@ def cmd_resume(args: argparse.Namespace) -> int:
         summary = resume_run(
             args.checkpoint,
             ledger=args.ledger,
-            metrics=getattr(args, "metrics", None),
-            metrics_out=getattr(args, "metrics_out", None),
+            metrics=args.metrics,
+            metrics_out=args.metrics_out,
         )
     except (OSError, ValueError, EOFError, pickle.UnpicklingError) as exc:
         print(f"cannot resume from {args.checkpoint!r}: {exc}", file=sys.stderr)
         return 2
     _print_run_summary(summary, max_rows=args.max_rows, json_path=args.json)
-    _print_metrics_outcome(summary)
+    _print_metrics_outcome(summary, args.metrics_out)
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     try:
-        if args.profile:
-            profile = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
-            print(format_profile(profile))
-            return 0
         if args.tail:
             for event in tail_records(args.ledger, args.tail):
                 print(format_event(event))
-        else:
-            print(format_summary(summarize_ledger(read_records(args.ledger))))
+            return 0
+        events = read_records(args.ledger)
     except (OSError, ValueError) as exc:
         print(f"cannot read {args.ledger!r}: {exc}", file=sys.stderr)
         return 2
+    print(format_summary(summarize_ledger(events)))
+    for event in events:
+        if event.get("event") == "run_finished" and event.get("profile"):
+            print(f"\nspans of {event.get('run')}:")
+            print(format_profile(event["profile"]))
     return 0
 
 
@@ -770,12 +770,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--metrics", action="store_true",
         help="enable the metrics registry, timing spans and algorithm "
-        "telemetry (prints the span-timing tree after the run)",
+        "telemetry (prints the span-timing tree after the run; with "
+        "--ledger, the telemetry and the tree are also written there)",
     )
     p_run.add_argument(
         "--metrics-out", default=None, metavar="PREFIX",
-        help="write PREFIX.prom / PREFIX.metrics.csv / PREFIX.telemetry.csv "
-        "/ PREFIX.profile.json after the run (implies --metrics)",
+        help="write the metrics snapshot to PREFIX.prom after the run "
+        "(implies --metrics)",
     )
     p_run.set_defaults(func=cmd_run)
 
@@ -794,24 +795,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_resume.add_argument(
         "--metrics-out", default=None, metavar="PREFIX",
-        help="write metrics/telemetry/profile exports after the resumed run",
+        help="write the metrics snapshot to PREFIX.prom after the resumed run",
     )
     p_resume.set_defaults(func=cmd_resume)
 
     p_trace = sub.add_parser(
         "trace", help="summarize or tail a JSONL run ledger"
     )
-    p_trace.add_argument(
-        "ledger", help="ledger file written by --ledger (or, with "
-        "--profile, a .profile.json written by --metrics-out)",
-    )
+    p_trace.add_argument("ledger", help="ledger file written by --ledger")
     p_trace.add_argument(
         "--tail", type=int, default=0, metavar="N",
-        help="print the last N events instead of the summary",
-    )
-    p_trace.add_argument(
-        "--profile", action="store_true",
-        help="treat the file as a span-profile JSON and render the timing tree",
+        help="print the last N events instead of the summary and span trees",
     )
     p_trace.set_defaults(func=cmd_trace)
 

@@ -18,9 +18,11 @@ steps, and ``elapsed_s``, seconds since this ledger object was created):
 ``run_started``      one seed's run begins (run id, seed, generations)
 ``generation``       per-generation progress (emitted by
                      :class:`LedgerCallback`: feasible count, evaluation
-                     counters, cumulative eval wall-clock)
+                     counters, cumulative eval wall-clock; on an
+                     instrumented run also the ``telemetry`` sample)
 ``checkpoint``       a checkpoint was persisted (generation, path)
-``run_finished``     the run's scores + backend stats
+``run_finished``     the run's scores + backend stats; on an
+                     instrumented run also its span ``profile``
 ``run_failed``       exception text for a crashed/hung seed
 ``retry``            a failed seed is being retried
 ``seed_abandoned``   retries exhausted; the sweep moves on

@@ -29,12 +29,7 @@ from repro.core.nsga2 import NSGA2
 from repro.core.results import OptimizationResult
 from repro.core.sacga import SACGA, SACGAConfig
 from repro.experiments.ledger import LedgerCallback, RunLedger
-from repro.obs.exporters import (
-    save_metrics_csv,
-    save_profile,
-    save_prometheus,
-    save_telemetry_csv,
-)
+from repro.obs.exporters import save_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import TelemetryCallback
 from repro.obs.tracing import TraceRecorder
@@ -186,11 +181,12 @@ class RunSummary:
     n_evaluations: int
     result: Optional[OptimizationResult] = field(repr=False, default=None)
     #: Populated only when run_one(metrics=...) enabled instrumentation.
+    #: ``telemetry`` holds one ``{"generation": g, "telemetry": {...}}``
+    #: record per generation, the shape of the ledger's own events.
     metrics: Optional[Any] = field(repr=False, default=None)
     tracer: Optional[Any] = field(repr=False, default=None)
-    telemetry: Optional[List[Any]] = field(repr=False, default=None)
+    telemetry: Optional[List[Dict[str, Any]]] = field(repr=False, default=None)
     profile: Optional[List[Dict[str, Any]]] = field(repr=False, default=None)
-    metrics_paths: Optional[Dict[str, str]] = field(repr=False, default=None)
 
 
 def score_front(front: np.ndarray) -> Dict[str, float]:
@@ -246,7 +242,9 @@ def run_one(
       from; the resumed result is byte-identical to an uninterrupted run.
     * *ledger* (+ *ledger_every*): a :class:`RunLedger` or path that
       receives run_started / generation / checkpoint / run_finished /
-      run_failed events.
+      run_failed events.  On an instrumented run, each ``generation``
+      event carries that generation's telemetry sample and
+      ``run_finished`` carries the span profile.
     * *timeout_s*: cooperative wall-clock limit — the run raises
       :class:`~repro.core.callbacks.RunTimeoutError` at the first
       generation boundary past the budget.
@@ -260,12 +258,8 @@ def run_one(
       keeps the no-op path (also enabled implicitly by *metrics_out*).
       Instrumentation is read-only: the optimization trajectory is
       byte-identical with it on or off.
-    * *metrics_out*: path prefix; on completion writes
-      ``<prefix>.prom`` (Prometheus text exposition),
-      ``<prefix>.metrics.csv`` (tidy metric samples),
-      ``<prefix>.telemetry.csv`` (per-generation series) and
-      ``<prefix>.profile.json`` (the span tree).  Paths land in
-      ``RunSummary.metrics_paths``.
+    * *metrics_out*: path prefix; on completion writes the registry to
+      ``<prefix>.prom`` (Prometheus text exposition).
     """
     scale = scale or Scale.from_env()
     problem = problem or make_problem(
@@ -358,7 +352,10 @@ def run_one(
             )
         raise
     scores = score_front(result.front_objectives)
+    profile = tracer.profile() if tracer is not None else None
     if run_ledger is not None:
+        # Uninstrumented runs (serve jobs among them) carry no profile key.
+        finished = {"profile": profile} if profile is not None else {}
         run_ledger.emit(
             "run_finished",
             run=run_id,
@@ -368,21 +365,10 @@ def run_one(
             hv_paper=scores["hv_paper"],
             coverage=scores["coverage"],
             backend_stats=algorithm.backend.stats.as_dict(),
+            **finished,
         )
-    metrics_paths = None
-    if metrics_out is not None and registry is not None:
-        metrics_paths = {
-            "prometheus": str(save_prometheus(registry, f"{metrics_out}.prom")),
-            "metrics_csv": str(
-                save_metrics_csv(registry, f"{metrics_out}.metrics.csv")
-            ),
-            "telemetry_csv": str(
-                save_telemetry_csv(telemetry.samples, f"{metrics_out}.telemetry.csv")
-            ),
-            "profile": str(
-                save_profile(tracer.profile(), f"{metrics_out}.profile.json")
-            ),
-        }
+    if metrics_out is not None:
+        save_prometheus(registry, f"{metrics_out}.prom")
     return RunSummary(
         algorithm=result.algorithm,
         seed=seed,
@@ -396,8 +382,7 @@ def run_one(
         metrics=registry,
         tracer=tracer,
         telemetry=(telemetry.samples if telemetry is not None else None),
-        profile=(tracer.profile() if tracer is not None else None),
-        metrics_paths=metrics_paths,
+        profile=profile,
     )
 
 

@@ -17,23 +17,18 @@ import it (never the reverse).  The pieces:
   and torn-tail-tolerant reader behind the run ledger, the trace files
   and the structured log (:mod:`repro.obs.logging`).
 
-Exporters render a registry as a Prometheus text snapshot or tidy CSV,
-telemetry samples as per-generation CSV, and the span tree as JSON.
+The exporters render a registry as a Prometheus text snapshot.  An
+instrumented run's telemetry and span profile are written once, into
+its run ledger (``generation`` and ``run_finished`` events).
 Instrumentation is strictly read-only with respect to the optimization
 trajectory: instrumented runs are byte-identical to uninstrumented ones.
 """
 
 from repro.obs.exporters import (
     merge_prometheus,
-    metrics_to_csv_rows,
     parse_prometheus,
-    read_metrics_csv,
-    read_telemetry_csv,
     render_parsed,
-    save_metrics_csv,
-    save_profile,
     save_prometheus,
-    save_telemetry_csv,
     to_prometheus,
 )
 from repro.obs.logging import (
@@ -54,11 +49,7 @@ from repro.obs.registry import (
     NULL_INSTRUMENT,
     NULL_METRICS,
 )
-from repro.obs.telemetry import (
-    TelemetryCallback,
-    TelemetrySample,
-    gate_probability_curves,
-)
+from repro.obs.telemetry import TelemetryCallback, gate_probability_curves
 from repro.obs.tracing import (
     NULL_TRACE_RECORDER,
     NullTraceRecorder,
@@ -82,7 +73,6 @@ __all__ = [
     "NULL_METRICS",
     "DEFAULT_LATENCY_BUCKETS",
     "TelemetryCallback",
-    "TelemetrySample",
     "gate_probability_curves",
     "to_prometheus",
     "save_prometheus",
@@ -106,10 +96,4 @@ __all__ = [
     "configure_logging",
     "disable_logging",
     "get_logger",
-    "metrics_to_csv_rows",
-    "save_metrics_csv",
-    "read_metrics_csv",
-    "save_telemetry_csv",
-    "read_telemetry_csv",
-    "save_profile",
 ]

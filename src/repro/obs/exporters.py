@@ -1,35 +1,31 @@
-"""Exporters: Prometheus text exposition, tidy CSV, profile JSON.
-
-Three serialization surfaces for the instrumentation subsystem:
+"""Exporters: the Prometheus text exposition of a metrics registry.
 
 * :func:`to_prometheus` / :func:`save_prometheus` — a point-in-time
   snapshot of a :class:`~repro.obs.registry.MetricsRegistry` in the
   Prometheus *text exposition format* (``# HELP`` / ``# TYPE`` headers,
   ``name{label="v"} value`` samples, histogram ``_bucket``/``_sum``/
-  ``_count`` expansion).  :func:`parse_prometheus` is the matching
-  dependency-free line-format checker used by tests and the CI smoke job.
-* :func:`metrics_to_csv_rows` / :func:`save_metrics_csv` /
-  :func:`read_metrics_csv` — a tidy (long-form) CSV of the same
-  snapshot, one row per scalar field, for spreadsheet/pandas plotting.
-* :func:`save_telemetry_csv` / :func:`read_telemetry_csv` — the
-  per-generation sample table recorded by
-  :class:`~repro.obs.telemetry.TelemetryCallback`.
-* :func:`save_profile` — a span recorder's timing tree as JSON.
+  ``_count`` expansion).
+* :func:`parse_prometheus` — the matching dependency-free line-format
+  checker used by ``repro stats``, the tests and the CI smoke job;
+  :func:`render_parsed` is its inverse.
+* :func:`merge_prometheus` — several snapshots merged into one view
+  under a distinguishing label (the server's ``/metrics`` and
+  ``repro stats DIR``).
+
+Per-generation telemetry and the span profile are not exported here:
+both ride in the run ledger (:mod:`repro.experiments.ledger`).
 
 This module depends only on the standard library.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.registry import Histogram, MetricsRegistry
-from repro.obs.telemetry import TelemetrySample
 
 PathLike = Union[str, Path]
 
@@ -39,16 +35,8 @@ __all__ = [
     "parse_prometheus",
     "merge_prometheus",
     "render_parsed",
-    "metrics_to_csv_rows",
-    "save_metrics_csv",
-    "read_metrics_csv",
-    "save_telemetry_csv",
-    "read_telemetry_csv",
-    "save_profile",
 ]
 
-
-# ------------------------------------------------------------- Prometheus
 
 def _fmt_value(value: float) -> str:
     v = float(value)
@@ -292,112 +280,3 @@ def merge_prometheus(
     for key in sorted(snapshots):
         fold(parse_prometheus(snapshots[key]), key)
     return render_parsed(merged)
-
-
-# -------------------------------------------------------------- tidy CSV
-
-METRICS_CSV_COLUMNS = ("metric", "kind", "labels", "field", "value")
-
-
-def metrics_to_csv_rows(registry: MetricsRegistry) -> List[Dict[str, str]]:
-    """Flatten a registry snapshot into tidy rows (one scalar per row).
-
-    ``labels`` is a stable ``k=v;k=v`` encoding; histograms expand into
-    ``sum`` / ``count`` / ``bucket_le_<bound>`` fields.
-    """
-    rows: List[Dict[str, str]] = []
-
-    def emit(name: str, kind: str, labels: Dict[str, str], field: str, value: float):
-        rows.append(
-            {
-                "metric": name,
-                "kind": kind,
-                "labels": ";".join(f"{k}={v}" for k, v in sorted(labels.items())),
-                "field": field,
-                "value": _fmt_value(value),
-            }
-        )
-
-    for name, kind, _help, samples in registry.collect():
-        for labels, instrument in samples:
-            if isinstance(instrument, Histogram):
-                emit(name, kind, labels, "sum", instrument.sum)
-                emit(name, kind, labels, "count", instrument.count)
-                bounds = [_fmt_value(b) for b in instrument.buckets] + ["Inf"]
-                for bound, count in zip(bounds, instrument.cumulative_counts()):
-                    emit(name, kind, labels, f"bucket_le_{bound}", count)
-            else:
-                emit(name, kind, labels, "value", instrument.value)
-    return rows
-
-
-def save_metrics_csv(registry: MetricsRegistry, path: PathLike) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(metrics_to_csv_rows(registry))
-    return path
-
-
-def read_metrics_csv(path: PathLike) -> List[Dict[str, str]]:
-    """Read back :func:`save_metrics_csv` output (round-trip checked in CI)."""
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != METRICS_CSV_COLUMNS:
-            raise ValueError(
-                f"{path}: unexpected metrics CSV header {reader.fieldnames}"
-            )
-        return list(reader)
-
-
-# ------------------------------------------------------- telemetry samples
-
-TELEMETRY_CSV_COLUMNS = ("generation", "metric", "value")
-
-
-def save_telemetry_csv(samples: List[TelemetrySample], path: PathLike) -> Path:
-    """Write per-generation telemetry samples as tidy CSV.
-
-    ``None`` values (sanitized NaN/inf, e.g. feasibility ratio of an
-    empty population) become empty cells, never the string ``"nan"``.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TELEMETRY_CSV_COLUMNS)
-        for generation, metric, value in samples:
-            writer.writerow(
-                [generation, metric, "" if value is None else repr(float(value))]
-            )
-    return path
-
-
-def read_telemetry_csv(path: PathLike) -> List[TelemetrySample]:
-    """Read back :func:`save_telemetry_csv` output as sample tuples."""
-    out: List[TelemetrySample] = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if tuple(header or ()) != TELEMETRY_CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected telemetry CSV header {header}")
-        for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed telemetry row {row!r}")
-            generation, metric, raw = row
-            out.append(
-                (int(generation), metric, None if raw == "" else float(raw))
-            )
-    return out
-
-
-# ---------------------------------------------------------------- profile
-
-def save_profile(profile: List[Dict[str, Any]], path: PathLike) -> Path:
-    """Persist a :meth:`~repro.obs.tracing.TraceRecorder.profile` tree as JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(profile, indent=2) + "\n", encoding="utf-8")
-    return path

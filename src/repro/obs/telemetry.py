@@ -3,7 +3,8 @@
 :class:`TelemetryCallback` is a progress callback (the ``fn(generation,
 population)`` seam every optimizer exposes) that mirrors the paper's
 *internal* quantities into a :class:`~repro.obs.registry.MetricsRegistry`
-and a tidy per-generation sample table:
+and one record per generation, shaped like the run ledger's own
+``generation`` event (``{"generation": g, "telemetry": {...}}``):
 
 * the annealing temperature ``T_A`` and gate participation probabilities
   of eqns (2)-(4), read from the live ``CompetitionGate``,
@@ -35,14 +36,11 @@ test in ``tests/obs/test_telemetry.py``).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["TelemetrySample", "TelemetryCallback", "gate_probability_curves"]
-
-#: One tidy sample row: (generation, metric name, value-or-None).
-TelemetrySample = Tuple[int, str, Optional[float]]
+__all__ = ["TelemetryCallback", "gate_probability_curves"]
 
 
 def _finite(value: Any) -> Optional[float]:
@@ -89,7 +87,8 @@ class TelemetryCallback:
     ) -> None:
         self.optimizer = optimizer
         self.archive = archive
-        self.samples: List[TelemetrySample] = []
+        #: ``{"generation": g, "telemetry": sample}`` per generation.
+        self.samples: List[Dict[str, Any]] = []
         self.last_sample: Dict[str, Optional[float]] = {}
         self._kernel_counts = kernel_counts
         self._kernel_prev: Dict[str, int] = (
@@ -210,7 +209,7 @@ class TelemetryCallback:
         self._sample_kernels(sample)
 
         self.last_sample = sample
-        self.samples.extend((gen, name, value) for name, value in sample.items())
+        self.samples.append({"generation": gen, "telemetry": sample})
 
     # ------------------------------------------------- algorithm internals
 
@@ -321,21 +320,29 @@ class TelemetryCallback:
 
 
 def gate_probability_curves(
-    samples: List[TelemetrySample],
+    records: Iterable[Dict[str, Any]],
 ) -> Dict[int, List[Tuple[int, float]]]:
     """Extract the Fig.-4 family of curves from recorded telemetry.
 
-    Returns ``{i: [(generation, probability), ...]}`` for each cost index
-    ``i`` that appears in the samples — the participation-probability
-    trajectories of eqn (3), as actually applied during the run.
+    *records* are one run's ``{"generation": g, "telemetry": {...}}``
+    records: :attr:`TelemetryCallback.samples`, or a run ledger read back
+    with :func:`repro.obs.records.read_records` (records without
+    ``telemetry``, such as ``run_started``, are skipped).  Returns
+    ``{i: [(generation, probability), ...]}`` for each cost index ``i``
+    that appears — the participation-probability trajectories of
+    eqn (3), as actually applied during the run.
     """
     curves: Dict[int, List[Tuple[int, float]]] = {}
     prefix = "gate_probability_"
-    for generation, name, value in samples:
-        if not name.startswith(prefix) or value is None:
+    for record in records:
+        telemetry = record.get("telemetry")
+        if not telemetry:
             continue
-        i = int(name[len(prefix):])
-        curves.setdefault(i, []).append((int(generation), float(value)))
+        generation = int(record["generation"])
+        for name, value in telemetry.items():
+            if name.startswith(prefix) and value is not None:
+                i = int(name[len(prefix):])
+                curves.setdefault(i, []).append((generation, float(value)))
     for curve in curves.values():
         curve.sort()
     return curves

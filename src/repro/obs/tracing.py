@@ -293,8 +293,9 @@ NULL_TRACE_RECORDER = NullTraceRecorder()
 
 
 def format_profile(profile: List[Dict[str, Any]]) -> str:
-    """Render a profile (from :meth:`TraceRecorder.profile` or a saved
-    ``*.profile.json``) as an indented timing tree::
+    """Render a profile (from :meth:`TraceRecorder.profile` or the
+    ``profile`` of a ledger's ``run_finished`` event) as an indented
+    timing tree::
 
         run                         1x   2.134s  (  3.1% self)
           generation              200x   2.067s  (  8.8% self)

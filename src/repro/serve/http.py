@@ -585,8 +585,10 @@ class ReproServer:
         if self._closed:
             return
         self._closed = True
-        self._httpd.shutdown()
+        # shutdown() waits for serve_forever to stop, so it would block
+        # forever on a server that was never started.
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(timeout=10.0)
         self._httpd.cut_connections()
         self._httpd.server_close()

@@ -500,9 +500,11 @@ class WorkerLoop:
         written atomically by the campaign engine, and a shard whose file
         already exists (this is a reclaimed ``attempt > 1``) is returned
         without re-evaluation — shard-exact resume needs no checkpoint.
-        When this shard completes the campaign, the worker finalizes it
-        opportunistically; the engine's exclusive report claim keeps a
-        concurrent finalize race harmless.
+        When this shard completes the campaign, the worker finalizes it.
+        A concurrent finalize (another worker, or a ``GET
+        /campaigns/<id>``) queues on the engine's finalize lock and then
+        returns the report this one wrote, so the campaign registers one
+        derated surface version.
         """
         from repro.campaign.engine import CampaignRunner
 

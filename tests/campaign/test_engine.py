@@ -7,7 +7,6 @@ was interrupted mid-campaign and resumed by a different runner instance
 """
 
 import json
-import os
 import threading
 
 import numpy as np
@@ -167,22 +166,37 @@ class TestFinalize:
         )
 
     def test_concurrent_finalizers_in_one_process(
-        self, runner, tiny_spec, batch, monkeypatch
+        self, tmp_path, batch, monkeypatch
     ):
-        """Two threads that both reach the exclusive create: one
-        publishes the report, the other adopts it, and neither raises."""
+        """Two threads that finalize at once register one derated
+        version, and both return the report that names it.
+
+        Each thread that reaches registration waits there for the other
+        one.  Finalizers queue on the finalize lock, so only one gets
+        there; its wait times out, and the test does not deadlock."""
+        store = SurfaceStore(tmp_path / "surfaces")
+        runner = CampaignRunner(tmp_path / "campaigns", surfaces=store)
+        # Target 0: every design yields, so the derated surface registers.
+        spec = CampaignSpec(
+            corners=("TT", "SS"), n_mc=4, shard_scenarios=1, yield_target=0.0
+        )
         x, c_load, power = batch
-        manifest = runner.create(tiny_spec, x, c_load, power)
+        manifest = runner.create(
+            spec, x, c_load, power, derated_surface="front-derated"
+        )
         for index in range(len(manifest["shards"])):
             runner.run_shard(manifest, index)
-        both_written = threading.Barrier(2, timeout=30)
-        real_link = os.link
+        both_registering = threading.Barrier(2, timeout=2)
+        real_register = store.register
 
-        def link_when_both_written(src, dst):
-            both_written.wait()
-            return real_link(src, dst)
+        def register_when_both_there(*args, **kwargs):
+            try:
+                both_registering.wait()
+            except threading.BrokenBarrierError:
+                pass  # the other finalizer is queued on the lock
+            return real_register(*args, **kwargs)
 
-        monkeypatch.setattr(os, "link", link_when_both_written)
+        monkeypatch.setattr(store, "register", register_when_both_there)
         reports, errors = [], []
 
         def finalize():
@@ -196,9 +210,14 @@ class TestFinalize:
             t.start()
         for t in threads:
             t.join(30)
+        assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert len(reports) == 2
-        assert comparable(reports[0]) == comparable(reports[1])
+        assert store.versions("front-derated") == [1]
+        assert reports[0]["derated_surface"]["version"] == 1
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+        stored = runner.report_path(manifest["id"]).read_text(encoding="utf-8")
+        assert json.loads(stored) == reports[0]
 
     def test_report_contents(self, runner, tiny_spec, batch):
         x, c_load, power = batch

@@ -1,15 +1,10 @@
 """run_one's observability surface: metrics=, metrics_out=, ledger enrichment."""
 
 import json
-from pathlib import Path
 
 from repro.obs.records import read_records
 from repro.experiments.runner import Scale, run_one
-from repro.obs.exporters import (
-    parse_prometheus,
-    read_metrics_csv,
-    read_telemetry_csv,
-)
+from repro.obs.exporters import parse_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import gate_probability_curves
 
@@ -25,7 +20,6 @@ def test_default_run_is_uninstrumented():
     assert summary.tracer is None
     assert summary.telemetry is None
     assert summary.profile is None
-    assert summary.metrics_paths is None
 
 
 def test_metrics_true_populates_summary():
@@ -34,10 +28,12 @@ def test_metrics_true_populates_summary():
     assert "repro_generation" in names
     assert "repro_gate_considered_total" in names
     assert summary.telemetry
+    assert [r["generation"] for r in summary.telemetry] == list(
+        range(GATED.generations + 1)
+    )
     assert gate_probability_curves(summary.telemetry)
     top_level = [node["name"] for node in summary.profile]
     assert top_level == ["run"]
-    assert summary.metrics_paths is None  # no metrics_out requested
 
 
 def test_supplied_registry_is_reused():
@@ -47,25 +43,45 @@ def test_supplied_registry_is_reused():
     assert registry.get("repro_generation").value == TINY.generations
 
 
-def test_metrics_out_writes_all_four_artifacts(tmp_path):
+def _reject_constant(token):
+    raise ValueError(f"non-strict JSON constant {token}")
+
+
+def test_metrics_out_writes_only_the_prometheus_snapshot(tmp_path):
     prefix = tmp_path / "run"
-    summary = run_one("mesacga", "obs-test", scale=TINY, metrics_out=str(prefix))
-    paths = summary.metrics_paths
-    assert set(paths) == {"prometheus", "metrics_csv", "telemetry_csv", "profile"}
+    ledger = tmp_path / "run.jsonl"
+    summary = run_one(
+        "mesacga", "obs-test", scale=TINY,
+        metrics_out=str(prefix), ledger=str(ledger),
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.jsonl", "run.prom"]
 
-    snapshot = parse_prometheus(Path(paths["prometheus"]).read_text(encoding="utf-8"))
+    snapshot = parse_prometheus((tmp_path / "run.prom").read_text(encoding="utf-8"))
     assert "repro_generations_total" in snapshot
+    assert "repro_backend_batch_seconds" in snapshot
 
-    rows = read_metrics_csv(paths["metrics_csv"])
-    assert any(r["metric"] == "repro_backend_batch_seconds" for r in rows)
+    # The ledger holds the telemetry, one record per generation, as
+    # strict JSON, equal to the summary's records.
+    lines = ledger.read_text(encoding="utf-8").splitlines()
+    events = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+    generations = [e for e in events if e["event"] == "generation"]
+    assert [
+        {"generation": e["generation"], "telemetry": e["telemetry"]}
+        for e in generations
+    ] == summary.telemetry
+    for event in generations:
+        assert {"population_size", "front_size"} <= set(event["telemetry"])
 
-    samples = read_telemetry_csv(paths["telemetry_csv"])
-    assert {name for _, name, _ in samples} >= {"population_size", "front_size"}
 
-    profile = json.loads(Path(paths["profile"]).read_text(encoding="utf-8"))
-    assert profile[0]["name"] == "run"
-    child_names = {c["name"] for c in profile[0]["children"]}
-    assert "generation" in child_names
+def test_run_finished_carries_the_profile(tmp_path):
+    ledger = tmp_path / "run.jsonl"
+    summary = run_one("sacga", "obs-test", scale=TINY, metrics=True, ledger=str(ledger))
+    finished = [e for e in read_records(ledger) if e["event"] == "run_finished"]
+    assert len(finished) == 1
+    profile = finished[0]["profile"]
+    assert profile == summary.profile
+    assert [node["name"] for node in profile] == ["run"]
+    assert "generation" in {c["name"] for c in profile[0]["children"]}
 
 
 def test_ledger_generation_events_carry_telemetry(tmp_path):
@@ -89,3 +105,5 @@ def test_uninstrumented_ledger_has_no_telemetry_field(tmp_path):
     assert all("telemetry" not in e for e in gen_events)
     # The NaN-safety enrichment is on regardless of instrumentation.
     assert all("feasible_ratio" in e for e in gen_events)
+    finished = [e for e in read_records(path) if e["event"] == "run_finished"]
+    assert finished and "profile" not in finished[0]

@@ -1,24 +1,16 @@
-"""Exporter round-trips: Prometheus text, tidy CSVs, profile JSON."""
-
-import json
+"""Exporter round-trips: Prometheus text exposition and telemetry records."""
 
 import pytest
 
 from repro.obs.exporters import (
     merge_prometheus,
-    metrics_to_csv_rows,
     parse_prometheus,
-    read_metrics_csv,
-    read_telemetry_csv,
     render_parsed,
-    save_metrics_csv,
-    save_profile,
     save_prometheus,
-    save_telemetry_csv,
     to_prometheus,
 )
+from repro.obs.records import append_record, read_records
 from repro.obs.registry import MetricsRegistry
-from repro.obs.tracing import TraceRecorder
 
 
 def populated_registry() -> MetricsRegistry:
@@ -191,49 +183,19 @@ class TestMergePrometheus:
             merge_prometheus({"w1": "orphan 1\n"})
 
 
-class TestMetricsCsv:
-    def test_round_trip(self, tmp_path):
-        reg = populated_registry()
-        path = save_metrics_csv(reg, tmp_path / "m.csv")
-        rows = read_metrics_csv(path)
-        assert rows == metrics_to_csv_rows(reg)
-        by_key = {(r["metric"], r["labels"], r["field"]): r["value"] for r in rows}
-        assert by_key[("repro_evaluations_total", "", "value")] == "880"
-        assert by_key[("repro_occupancy", "partition=1", "value")] == "12"
-        assert by_key[("repro_batch_seconds", "", "bucket_le_Inf")] == "4"
-
-    def test_header_mismatch_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unexpected metrics CSV header"):
-            read_metrics_csv(path)
-
-
 class TestTelemetryCsv:
+    """Per-generation telemetry records, which replaced the telemetry CSV,
+    keep a ``None`` value through the JSON-lines round trip."""
+
     def test_round_trip_with_none_values(self, tmp_path):
         samples = [
-            (0, "feasible_ratio", None),  # zero-feasible generation
-            (1, "feasible_ratio", 0.25),
-            (1, "temperature", 1.0),
+            # zero-feasible generation
+            {"generation": 0, "telemetry": {"feasible_ratio": None}},
+            {"generation": 1, "telemetry": {"feasible_ratio": 0.25, "temperature": 1.0}},
         ]
-        path = save_telemetry_csv(samples, tmp_path / "t.csv")
+        path = tmp_path / "t.jsonl"
+        for sample in samples:
+            append_record(path, sample)
         text = path.read_text(encoding="utf-8")
         assert "nan" not in text.lower()
-        assert read_telemetry_csv(path) == samples
-
-    def test_header_mismatch_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,y,z\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="unexpected telemetry CSV header"):
-            read_telemetry_csv(path)
-
-
-class TestProfileJson:
-    def test_save_profile_round_trips(self, tmp_path):
-        tracer = TraceRecorder()
-        with tracer.span("run"):
-            with tracer.span("generation"):
-                pass
-        path = save_profile(tracer.profile(), tmp_path / "p.json")
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-        assert loaded == tracer.profile()
+        assert read_records(path) == samples

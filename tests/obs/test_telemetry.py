@@ -3,9 +3,10 @@
 Two of the instrumentation subsystem's hard requirements live here:
 
 * **Fig. 4 fidelity** — the gate participation probabilities recorded
-  from a live SACGA run must match the analytic eqn (2)-(4) values to
-  1e-12 (the telemetry reads the same ``CompetitionGate`` the optimizer
-  applies, at the same annealing step).
+  from a live SACGA run, in memory and read back from its run ledger,
+  must match the analytic eqn (2)-(4) values to 1e-12 (the telemetry
+  reads the same ``CompetitionGate`` the optimizer applies, at the same
+  annealing step).
 * **Zero registry calls on the hot loop** — all instrument handles are
   resolved at wiring time; after construction, neither the optimizer nor
   the telemetry callback may call back into the registry (locked in with
@@ -20,7 +21,8 @@ import pytest
 from repro.core.kernels import kernel_call_counts
 from repro.core.partitions import PartitionGrid
 from repro.core.sacga import SACGA, SACGAConfig
-from repro.obs.exporters import read_telemetry_csv, save_telemetry_csv
+from repro.experiments.ledger import LedgerCallback, RunLedger
+from repro.obs.records import read_records
 from repro.obs.registry import MetricsRegistry, NullMetrics
 from repro.obs.telemetry import TelemetryCallback, gate_probability_curves
 from repro.obs.tracing import TraceRecorder
@@ -31,7 +33,7 @@ GENS = 12
 SEED = 7
 
 
-def instrumented_sacga(registry, tracer=None):
+def instrumented_sacga(registry, tracer=None, ledger=None):
     algo = SACGA(
         ClusteredFeasibility(n_var=4),
         PartitionGrid(axis=1, low=0.0, high=1.0, n_partitions=4),
@@ -45,6 +47,13 @@ def instrumented_sacga(registry, tracer=None):
         algo, registry, kernel_counts=kernel_call_counts
     )
     algo.add_callback(telemetry)
+    if ledger is not None:
+        # The runner's wiring: the ledger carries each generation's sample.
+        algo.add_callback(
+            LedgerCallback(
+                RunLedger(ledger), algo, extras_fn=lambda: telemetry.last_sample
+            )
+        )
     return algo, telemetry
 
 
@@ -52,9 +61,12 @@ def instrumented_sacga(registry, tracer=None):
 
 
 class TestGateProbabilityFidelity:
-    def test_recorded_curves_match_analytic_equations_to_1e12(self):
+    def test_recorded_curves_match_analytic_equations_to_1e12(self, tmp_path):
         registry = MetricsRegistry()
-        algo, telemetry = instrumented_sacga(registry, tracer=TraceRecorder())
+        ledger = tmp_path / "run.jsonl"
+        algo, telemetry = instrumented_sacga(
+            registry, tracer=TraceRecorder(), ledger=ledger
+        )
         result = algo.run(GENS)
 
         gen_t = result.metadata["gen_t"]
@@ -63,17 +75,21 @@ class TestGateProbabilityFidelity:
         # The same construction the optimizer used at the phase boundary.
         gate = algo._make_gate(span)
 
-        curves = gate_probability_curves(telemetry.samples)
-        assert set(curves) == set(range(1, algo.config.n_per_partition + 1))
-        n_checked = 0
-        for i, points in curves.items():
-            for generation, recorded in points:
-                step = generation - gen_t
-                assert step >= 1
-                assert abs(recorded - gate.probability(i, step)) < 1e-12
-                n_checked += 1
-        # One sample per Phase-II generation per cost index.
-        assert n_checked == span * algo.config.n_per_partition
+        # The same code reads the in-memory records and the ledger file.
+        from_memory = gate_probability_curves(telemetry.samples)
+        from_ledger = gate_probability_curves(read_records(ledger))
+        assert from_ledger == from_memory
+        for curves in (from_memory, from_ledger):
+            assert set(curves) == set(range(1, algo.config.n_per_partition + 1))
+            n_checked = 0
+            for i, points in curves.items():
+                for generation, recorded in points:
+                    step = generation - gen_t
+                    assert step >= 1
+                    assert abs(recorded - gate.probability(i, step)) < 1e-12
+                    n_checked += 1
+            # One sample per Phase-II generation per cost index.
+            assert n_checked == span * algo.config.n_per_partition
 
     def test_recorded_temperature_matches_schedule(self):
         registry = MetricsRegistry()
@@ -82,7 +98,9 @@ class TestGateProbabilityFidelity:
         gen_t = result.metadata["gen_t"]
         gate = algo._make_gate(result.metadata["span"])
         temps = [
-            (g, v) for g, name, v in telemetry.samples if name == "temperature"
+            (r["generation"], r["telemetry"]["temperature"])
+            for r in telemetry.samples
+            if "temperature" in r["telemetry"]
         ]
         assert temps
         for generation, recorded in temps:
@@ -156,7 +174,7 @@ class TestHotLoopRegistryIsolation:
         algo, telemetry = instrumented_sacga(stub)
         algo.run(5)
         assert list(stub.collect()) == []
-        # The tidy sample table still works without a real registry.
+        # The per-generation records still accumulate without a registry.
         assert telemetry.samples
 
 
@@ -182,16 +200,22 @@ def _population(size, n_feasible=0):
 
 class TestDegeneratePopulations:
     def test_empty_population_yields_null_ratio_never_nan(self, tmp_path):
-        telemetry = TelemetryCallback(_FakeOptimizer(), MetricsRegistry())
-        telemetry(0, _population(0))
+        optimizer = _FakeOptimizer()
+        telemetry = TelemetryCallback(optimizer, MetricsRegistry())
+        path = tmp_path / "run.jsonl"
+        ledger = LedgerCallback(
+            RunLedger(path), optimizer, extras_fn=lambda: telemetry.last_sample
+        )
+        population = _population(0)
+        telemetry(0, population)
+        ledger(0, population)
         assert telemetry.last_sample["feasible_ratio"] is None
-        path = save_telemetry_csv(telemetry.samples, tmp_path / "t.csv")
-        assert "nan" not in path.read_text(encoding="utf-8").lower()
-        ratios = [
-            v for _, name, v in read_telemetry_csv(path)
-            if name == "feasible_ratio"
-        ]
+        assert "NaN" not in path.read_text(encoding="utf-8")
+        ratios = [r["telemetry"]["feasible_ratio"] for r in read_records(path)]
         assert ratios == [None]
+        assert telemetry.samples == [
+            {"generation": 0, "telemetry": telemetry.last_sample}
+        ]
 
     def test_zero_feasible_population_is_ratio_zero(self):
         telemetry = TelemetryCallback(_FakeOptimizer(), MetricsRegistry())

@@ -571,3 +571,15 @@ class TestKeepAlive:
                 t.join(DEADLINE_S)
         assert errors == [] and mismatches == []
         assert len(accepted) == 4
+
+
+class TestClose:
+    def test_close_of_a_server_never_started_returns(self, tmp_path):
+        server = surface_server(tmp_path)
+        # In a daemon thread, so a hang fails this test instead of the run.
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(5.0)
+        assert not closer.is_alive(), "close() hung on an unstarted server"
+        assert server._httpd.socket.fileno() == -1  # listening socket closed
+        server.close()  # still idempotent

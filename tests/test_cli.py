@@ -41,7 +41,7 @@ class TestParser:
         args = build_parser().parse_args(["trace", "t.jsonl", "--tail", "7"])
         assert args.ledger == "t.jsonl"
         assert args.tail == 7
-        assert not args.profile
+        assert not hasattr(args, "profile")
 
     def test_run_metrics_flags(self):
         args = build_parser().parse_args(
@@ -307,15 +307,19 @@ class TestMetricsCommands:
     ):
         monkeypatch.delenv("REPRO_FULL", raising=False)
         prefix = tmp_path / "obsrun"
+        ledger = tmp_path / "obsrun.jsonl"
 
         code = main(
             ["run", "sacga", "--generations", "5", "--partitions", "4",
-             "--metrics-out", str(prefix)]
+             "--metrics-out", str(prefix), "--ledger", str(ledger)]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert f"wrote {prefix}.prom" in out
         assert "run" in out and "generation" in out  # span tree printed
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "obsrun.jsonl", "obsrun.prom",
+        ]
 
         # `repro stats` accepts both the prefix and the .prom path.
         assert main(["stats", str(prefix)]) == 0
@@ -326,9 +330,13 @@ class TestMetricsCommands:
         assert "repro_gate_considered_total" in filtered
         assert "repro_generations_total" not in filtered
 
-        # `repro trace --profile` renders the saved span tree.
-        assert main(["trace", f"{prefix}.profile.json", "--profile"]) == 0
-        tree = capsys.readouterr().out
+        # `repro trace` prints the summary, then the span tree that the
+        # ledger's run_finished event carries.
+        assert main(["trace", str(ledger)]) == 0
+        trace = capsys.readouterr().out
+        summary, tree = trace.split("spans of cli/sacga/seed0:\n")
+        assert "run_finished" in summary and "finished=1" in summary
+        assert tree.startswith("run ")
         assert "generation" in tree and "x " in tree
 
     def test_stats_missing_file(self, capsys, tmp_path):
@@ -381,15 +389,13 @@ class TestFileErrorExitCodes:
         assert main(["trace", str(bad)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    def test_trace_profile_missing_file(self, capsys, tmp_path):
-        assert main(["trace", str(tmp_path / "nope.json"), "--profile"]) == 2
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_trace_profile_corrupt_json(self, capsys, tmp_path):
-        bad = tmp_path / "bad.profile.json"
-        bad.write_text("{broken", encoding="utf-8")
-        assert main(["trace", str(bad), "--profile"]) == 2
-        assert "cannot read" in capsys.readouterr().err
+    def test_trace_rejects_profile_flag(self, capsys, tmp_path):
+        ledger = tmp_path / "run.jsonl"
+        ledger.write_text('{"event": "run_started"}\n', encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", str(ledger), "--profile"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
     def test_stats_unreadable_file(self, capsys, tmp_path):
         locked = tmp_path / "locked.prom"
