@@ -8,7 +8,8 @@ A campaign lives in a directory under the runner's root::
         designs.json             the design batch (x, c_load, nominal power)
         shards/shard-0000.json   one atomic result file per shard
         report.json              the aggregated report (written exactly once)
-        finalize.lock            flock target that serializes finalizers
+        campaign.lock            flock target that serializes creators
+                                 and finalizers
 
 Execution modes share every byte of evaluation and aggregation code:
 
@@ -38,8 +39,9 @@ import os
 import re
 import time
 import uuid
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -174,6 +176,18 @@ class CampaignRunner:
     def report_path(self, campaign_id: str) -> Path:
         return self.campaign_dir(campaign_id) / "report.json"
 
+    @contextmanager
+    def _locked(self, campaign_id: str) -> Iterator[None]:
+        """Hold an exclusive ``flock`` of the campaign's ``campaign.lock``.
+
+        Each call opens its own file description, so the lock excludes
+        other threads of this process as well as other processes, and a
+        holder that dies drops it with its process.
+        """
+        with open(self.campaign_dir(campaign_id) / "campaign.lock", "a") as lock:
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
+            yield
+
     # ---------------------------------------------------------------- create
 
     def create(
@@ -196,7 +210,10 @@ class CampaignRunner:
         surface's metadata sidecar.  Raises :class:`ValueError` if the
         campaign id already exists — campaigns are immutable once
         created; resume works by re-running the same id, not recreating
-        it.
+        it.  Creators of one id queue on an exclusive ``flock`` of
+        ``campaign.lock`` across the existence check and both writes, so
+        of two concurrent calls exactly one creates the campaign and the
+        other raises.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         c_load = np.asarray(c_load, dtype=float).ravel()
@@ -215,35 +232,36 @@ class CampaignRunner:
             mint_trace_id() if trace_id is None else check_trace_id(trace_id)
         )
         directory = self.campaign_dir(campaign_id)
-        if self.manifest_path(campaign_id).exists():
-            raise ValueError(
-                f"campaign {campaign_id!r} already exists under {self.root}"
-            )
-        scenarios = expand_scenarios(spec)
-        shards = plan_shards(spec)
         directory.mkdir(parents=True, exist_ok=True)
-        _write_json(
-            directory / "designs.json",
-            {
-                "x": x.tolist(),
-                "c_load": c_load.tolist(),
-                "nominal_power": nominal_power.tolist(),
-            },
-        )
-        manifest = {
-            "id": campaign_id,
-            "created": time.time(),
-            "spec": spec.to_dict(),
-            "source": source or {},
-            "n_designs": int(x.shape[0]),
-            "scenario_keys": [s.key for s in scenarios],
-            "shards": shards,
-            "trace_id": trace_id,
-            "derated_surface": derated_surface,
-        }
-        # The manifest is written last: its presence is what makes the
-        # campaign visible, so a crash mid-create leaves no half-campaign.
-        _write_json(self.manifest_path(campaign_id), manifest)
+        with self._locked(campaign_id):
+            if self.manifest_path(campaign_id).exists():
+                raise ValueError(
+                    f"campaign {campaign_id!r} already exists under {self.root}"
+                )
+            scenarios = expand_scenarios(spec)
+            shards = plan_shards(spec)
+            _write_json(
+                directory / "designs.json",
+                {
+                    "x": x.tolist(),
+                    "c_load": c_load.tolist(),
+                    "nominal_power": nominal_power.tolist(),
+                },
+            )
+            manifest = {
+                "id": campaign_id,
+                "created": time.time(),
+                "spec": spec.to_dict(),
+                "source": source or {},
+                "n_designs": int(x.shape[0]),
+                "scenario_keys": [s.key for s in scenarios],
+                "shards": shards,
+                "trace_id": trace_id,
+                "derated_surface": derated_surface,
+            }
+            # The manifest is written last: its presence is what makes the
+            # campaign visible, so a crash mid-create leaves no half-campaign.
+            _write_json(self.manifest_path(campaign_id), manifest)
         self._m_created.inc()
         self._log.info(
             "campaign created",
@@ -506,7 +524,7 @@ class CampaignRunner:
         process, returns the stored report without re-registering
         anything.  Finalizers that start together (the worker that lands
         the last shard and a ``GET /campaigns/<id>``, say) queue on an
-        exclusive ``flock`` of ``finalize.lock``, and the holder checks
+        exclusive ``flock`` of ``campaign.lock``, and the holder checks
         for the report again before it aggregates, so a campaign
         registers exactly the one derated version its report names.  A
         finalizer that dies mid-way leaves no report and drops the lock
@@ -517,10 +535,7 @@ class CampaignRunner:
         report_file = self.report_path(cid)
         if report_file.exists():
             return json.loads(report_file.read_text(encoding="utf-8"))
-        # Each call opens its own file description, so the lock excludes
-        # other threads of this process as well as other processes.
-        with open(self.campaign_dir(cid) / "finalize.lock", "a") as lock:
-            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
+        with self._locked(cid):
             if report_file.exists():
                 return json.loads(report_file.read_text(encoding="utf-8"))
             report = self._build_report(manifest)

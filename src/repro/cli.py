@@ -69,6 +69,7 @@ import os
 import pickle
 import signal
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -83,18 +84,26 @@ from repro.obs.records import read_records, tail_records
 from repro.obs.tracing import format_profile
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= *low* (a smaller value exits with code 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _scale_from_args(args: argparse.Namespace) -> Scale:
     scale = Scale.full() if getattr(args, "full", False) else Scale.from_env()
     generations = getattr(args, "generations", None)
     n_mc = getattr(args, "n_mc", None)
-    if generations or n_mc:
-        scale = Scale(
-            population=scale.population,
-            generations=generations or scale.generations,
-            n_mc=n_mc or scale.n_mc,
-            n_seeds=scale.n_seeds,
-            label=scale.label,
-        )
+    if generations is not None:
+        scale = replace(scale, generations=generations)
+    if n_mc is not None:
+        scale = replace(scale, n_mc=n_mc)
     return scale
 
 
@@ -436,7 +445,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         params["surface"] = args.surface
     client = ServeClient(args.url)
     try:
-        job = client.submit(params, kind=args.kind, trace_id=args.trace_id)
+        job = client.submit(params, trace_id=args.trace_id)
     except ServeError as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return 2 if exc.status != 429 else 3
@@ -726,16 +735,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = sub.add_parser("figures", help="reproduce the paper's figures/tables")
     p_fig.add_argument("ids", nargs="*", help=f"figure ids ({', '.join(ALL_FIGURES)})")
     p_fig.add_argument("--full", action="store_true", help="paper-scale budgets")
-    p_fig.add_argument("--generations", type=int, help="override generation budget")
+    p_fig.add_argument(
+        "--generations", type=_int_at_least(0), help="override generation budget"
+    )
     p_fig.set_defaults(func=cmd_figures)
 
     p_run = sub.add_parser("run", help="run one algorithm on the sizing problem")
     p_run.add_argument("algorithm", choices=["tpg", "sacga", "mesacga"])
     p_run.add_argument("--partitions", type=int, default=8)
     p_run.add_argument("--full", action="store_true")
-    p_run.add_argument("--generations", type=int)
+    p_run.add_argument("--generations", type=_int_at_least(0))
     p_run.add_argument(
-        "--n-mc", type=int, default=None,
+        "--n-mc", type=_int_at_least(1), default=None,
         help="Monte-Carlo samples of the robustness constraint "
         "(default: the scale's n_mc)",
     )
@@ -973,10 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument(
         "--surface", default=None,
         help="register the resulting design surface under this name",
-    )
-    p_submit.add_argument(
-        "--kind", choices=["run_one", "run_many"], default="run_one",
-        help="single run or a seed sweep (default: run_one)",
     )
     p_submit.add_argument(
         "--trace-id", default=None,

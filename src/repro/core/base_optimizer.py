@@ -12,7 +12,7 @@ exactly one generation, recording history and firing callbacks), and
 ``_loop_finish`` (package the final population + metadata).  Everything
 the loop needs between generations lives in the state dict, which is
 what makes crash-safe checkpointing possible: ``capture_checkpoint``
-snapshots the state (plus RNG, history, counters) at any generation
+snapshots the state (plus RNG, history, evaluation stats) at any generation
 boundary, and ``run(..., resume_from=ckpt)`` restores it so a resumed
 run is byte-identical to an uninterrupted one (see
 :mod:`repro.core.checkpoint`).
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.callbacks import CallbackList, HistoryRecorder, ProgressCallback
 from repro.core.checkpoint import CHECKPOINT_VERSION, load_checkpoint
-from repro.core.evaluation import EvaluationBackend
+from repro.core.evaluation import BackendStats, EvaluationBackend
 from repro.core.individual import Population
 from repro.core.operators import PolynomialMutation, SBXCrossover
 from repro.core.results import OptimizationResult, extract_feasible_front
@@ -93,7 +93,8 @@ class BaseOptimizer:
         self.tracer = NULL_TRACE_RECORDER if tracer is None else tracer
         # Instrument handles are fixed at construction so the generational
         # loop touches no registry state — with NULL_METRICS every update
-        # is a shared no-op.
+        # is a shared no-op.  They count the batches this process ran; the
+        # result and the ledger count the whole run from backend.stats.
         self._m_eval_batches = self.metrics.counter(
             "repro_backend_batches_total", "Evaluation batches served"
         )
@@ -104,11 +105,10 @@ class BaseOptimizer:
             "repro_backend_batch_seconds",
             "Wall-clock seconds per evaluation batch",
         )
-        self._backend_stats_prev = self.backend.stats.as_dict()
         self.history = HistoryRecorder()
-        self.history.add_extras_source(self._backend_extras)
         self.callbacks = CallbackList()
-        self._n_evaluations = 0
+        # stats.eval_time when the last history record was written.
+        self._recorded_eval_time = 0.0
         self._stop_requested = False
         self._loop_state: Optional[Dict[str, Any]] = None
         self._target_generations: Optional[int] = None
@@ -138,29 +138,31 @@ class BaseOptimizer:
         with self.tracer.span("evaluate"):
             evaluation = self.backend.evaluate(self.problem, x)
         pop = Population(x, evaluation)
-        self._n_evaluations += pop.size
         self._m_eval_batches.inc()
         self._m_eval_rows.inc(pop.size)
         self._m_batch_seconds.observe(self.backend.stats.last_batch_time)
         return pop
 
-    def _backend_extras(self) -> Dict[str, float]:
-        """Per-generation backend telemetry merged into history records.
+    def _record(
+        self,
+        generation: int,
+        population: Population,
+        extras: Optional[Dict[str, float]] = None,
+    ) -> None:
+        """Append *generation*'s history record.
 
-        Reports the *delta* since the previous recorded generation (the
-        backend counters themselves are cumulative across the run), so
-        each record carries the evaluation cost of its own generation —
-        or of the interval since the last record when the recorder's
-        cadence skips generations.
+        Its ``eval_time_s`` is the evaluation seconds of this generation
+        alone; the backend's ``eval_time`` is the run's total so far.
         """
         stats = self.backend.stats
-        extras = {
-            "eval_time_s": float(
-                stats.eval_time - self._backend_stats_prev["eval_time"]
-            )
-        }
-        self._backend_stats_prev = stats.as_dict()
-        return extras
+        eval_time_s = stats.eval_time - self._recorded_eval_time
+        self._recorded_eval_time = stats.eval_time
+        self.history.record(
+            generation,
+            population,
+            stats.n_evaluations,
+            {"eval_time_s": eval_time_s, **(extras or {})},
+        )
 
     def _initial_population(
         self, initial_x: Optional[np.ndarray] = None
@@ -188,7 +190,6 @@ class BaseOptimizer:
             "population_size": self.population_size,
             "crossover": repr(self.crossover),
             "mutation": repr(self.mutation),
-            "backend": self.backend.describe(),
             "backend_stats": self.backend.stats.as_dict(),
         }
         meta.update(metadata or {})
@@ -199,7 +200,7 @@ class BaseOptimizer:
             front_x=front_x,
             front_objectives=front_f,
             n_generations=n_generations,
-            n_evaluations=self._n_evaluations,
+            n_evaluations=self.backend.stats.n_evaluations,
             wall_time=wall_time,
             history=list(self.history.records),
             metadata=meta,
@@ -246,14 +247,10 @@ class BaseOptimizer:
                 )
             else:
                 self.history.clear()
-                self._n_evaluations = 0
+                self.backend.stats = BackendStats()
+                self._recorded_eval_time = 0.0
                 self._stop_requested = False
                 self._prior_wall_time = 0.0
-                # Telemetry deltas are relative to the run start, even when
-                # the optimizer (and its backend's cumulative counters) is
-                # reused across runs.
-                self._backend_stats_prev = self.backend.stats.as_dict()
-                self.problem.reset_evaluation_counter()
                 self._loop_state = self._loop_init(n_generations, initial_x)
             state = self._loop_state
             while not self._loop_done(state, n_generations):
@@ -321,10 +318,8 @@ class BaseOptimizer:
             "rng_state": self.rng.bit_generator.state,
             "loop_state": copy.deepcopy(self._loop_state),
             "history": list(self.history.records),
-            "n_evaluations": int(self._n_evaluations),
-            "problem_evaluations": int(self.problem.n_evaluations),
+            "n_evaluations": int(self.backend.stats.n_evaluations),
             "backend_stats": self.backend.stats.as_dict(),
-            "backend_stats_prev": dict(self._backend_stats_prev),
             "wall_time": float(elapsed),
             "extra": dict(extra or {}),
         }
@@ -334,7 +329,9 @@ class BaseOptimizer:
         source: Union[str, Dict[str, Any]],
         n_generations: int,
     ) -> float:
-        """Rehydrate counters, RNG, history and loop state from a checkpoint.
+        """Rehydrate evaluation stats, RNG, history and loop state from a
+        checkpoint.  Any other keys, such as the counters that older
+        checkpoints also carry, are ignored.
 
         Returns the wall-clock seconds already spent before the crash
         (folded into the resumed result's ``wall_time``).
@@ -354,25 +351,21 @@ class BaseOptimizer:
             raise ValueError(
                 f"checkpoint targets {payload['n_generations']} generations; "
                 f"resume with the same budget (got {n_generations}) so the "
-                "annealing schedules and history cadence stay consistent"
+                "annealing schedules stay consistent"
             )
         self.rng.bit_generator.state = payload["rng_state"]
         self.history.records = list(payload["history"])
-        self._n_evaluations = int(payload["n_evaluations"])
+        saved = payload["backend_stats"]
+        self.backend.stats = BackendStats(
+            n_evaluations=int(payload["n_evaluations"]),
+            n_batches=int(saved["n_batches"]),
+            eval_time=float(saved["eval_time"]),
+        )
+        # Checkpoints are taken right after a generation is recorded.
+        self._recorded_eval_time = self.backend.stats.eval_time
         self._stop_requested = False
-        self._backend_stats_prev = dict(payload["backend_stats_prev"])
-        self._restore_backend_stats(payload["backend_stats"])
-        self.problem.reset_evaluation_counter(int(payload["problem_evaluations"]))
         self._restore_loop_state(copy.deepcopy(payload["loop_state"]))
         return float(payload["wall_time"])
-
-    def _restore_backend_stats(self, saved: Dict[str, Any]) -> None:
-        """Carry cumulative backend counters across the crash boundary, so
-        the final ``backend_stats`` metadata matches an uninterrupted run."""
-        stats = self.backend.stats
-        stats.n_evaluations = int(saved.get("n_evaluations", 0))
-        stats.n_batches = int(saved.get("n_batches", 0))
-        stats.eval_time = float(saved.get("eval_time", 0.0))
 
     def _restore_loop_state(self, state: Dict[str, Any]) -> None:
         """Install a checkpointed loop state (subclasses may sync derived

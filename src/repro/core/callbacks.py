@@ -5,42 +5,15 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.individual import Population
 from repro.core.results import GenerationRecord, extract_feasible_front
 
 
 class HistoryRecorder:
-    """Collects :class:`GenerationRecord` snapshots during a run.
+    """Collects one :class:`GenerationRecord` per generation of a run."""
 
-    Parameters
-    ----------
-    every:
-        Record every *every*-th generation (generation 0 and the final
-        generation are always recorded by the calling optimizer).
-    store_fronts:
-        When ``False``, ``front_objectives`` is stored as an empty array
-        to save memory on very long runs; scalar fields are still kept.
-    """
-
-    def __init__(self, every: int = 1, store_fronts: bool = True) -> None:
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.every = int(every)
-        self.store_fronts = bool(store_fronts)
+    def __init__(self) -> None:
         self.records: List[GenerationRecord] = []
-        self._extras_sources: List[Callable[[], Dict[str, float]]] = []
-
-    def add_extras_source(self, source: Callable[[], Dict[str, float]]) -> None:
-        """Register a zero-arg callable whose dict is merged into every
-        record's extras (caller-passed extras win on key collision).
-        The evaluation backend plugs in this way to surface per-generation
-        eval wall time without touching the algorithms."""
-        self._extras_sources.append(source)
-
-    def should_record(self, generation: int) -> bool:
-        return generation % self.every == 0
 
     def record(
         self,
@@ -48,26 +21,16 @@ class HistoryRecorder:
         population: Population,
         n_evaluations: int,
         extras: Optional[Dict[str, float]] = None,
-        force: bool = False,
     ) -> None:
-        """Snapshot *population* if the cadence (or *force*) says so."""
-        if not force and not self.should_record(generation):
-            return
-        if self.store_fronts:
-            _, front = extract_feasible_front(population)
-        else:
-            front = np.zeros((0, population.n_obj))
-        merged: Dict[str, float] = {}
-        for source in self._extras_sources:
-            merged.update(source())
-        merged.update(extras or {})
+        """Snapshot *population*'s feasible front and counters."""
+        _, front = extract_feasible_front(population)
         self.records.append(
             GenerationRecord(
                 generation=generation,
                 n_feasible=int(population.feasible.sum()),
                 front_objectives=front,
                 n_evaluations=n_evaluations,
-                extras=merged,
+                extras=dict(extras or {}),
             )
         )
 

@@ -4,9 +4,11 @@ Every optimizer funnels fitness work through
 :meth:`BaseOptimizer._evaluate_population`, and campaign shards through
 :func:`repro.campaign.shards.evaluate_shard`; both hand the whole
 ``(n, n_var)`` decision batch to :meth:`Problem.evaluate_batch` in one
-vectorized call via :class:`EvaluationBackend`.  The backend keeps
-counters (:class:`BackendStats`) that the optimizers surface in
-``OptimizationResult.metadata`` and the per-generation history.
+vectorized call via :class:`EvaluationBackend`.  The backend's
+:class:`BackendStats` is the one count and clock of a run's evaluation
+work: the optimizer resets it when a fresh run starts, restores it on
+resume, and every report of evaluations, batches or evaluation seconds
+reads it.
 
 Evaluation is serial and in-process.  At this library's scale (one
 population of tens to hundreds of designs per generation on analytic
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -54,28 +56,16 @@ class BackendStats:
     last_batch_time: float = 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for result metadata / serialization.
+        """Batches and seconds, for result metadata and ``run_finished``.
 
-        The cache and fallback counters are always 0.  They stay in the
-        dict so its keys, and with them the golden-front hashes in
-        ``tests/core/golden_fronts.json`` (serialized *including* this
-        dict), are unchanged.
+        The row count is not repeated here: the result and the ledger
+        event each carry it as their own ``n_evaluations``.
         """
-        return {
-            "n_evaluations": int(self.n_evaluations),
-            "n_batches": int(self.n_batches),
-            "eval_time": float(self.eval_time),
-            "cache_hits": 0,
-            "cache_misses": 0,
-            "cache_evictions": 0,
-            "fallbacks": 0,
-        }
+        return {"n_batches": int(self.n_batches), "eval_time": float(self.eval_time)}
 
 
 class EvaluationBackend:
     """Turn a decision batch into an :class:`Evaluation`, with stats."""
-
-    name = "serial"
 
     def __init__(self) -> None:
         self.stats = BackendStats()
@@ -90,7 +80,3 @@ class EvaluationBackend:
         self.stats.n_batches += 1
         self.stats.n_evaluations += arr.shape[0]
         return evaluation
-
-    def describe(self) -> Dict[str, Any]:
-        """Configuration echo for result metadata."""
-        return {"name": self.name}

@@ -164,7 +164,7 @@ class IslandNSGA2(BaseOptimizer):
             islands.append(island)
             start += size
 
-        self.history.record(0, whole, self._n_evaluations, force=True)
+        self._record(0, whole)
         self.callbacks(0, whole)
         return {
             "generation": 0,
@@ -190,13 +190,7 @@ class IslandNSGA2(BaseOptimizer):
         state["islands"] = islands
         state["union"] = union
         state["generation"] = gen
-        self.history.record(
-            gen,
-            union,
-            self._n_evaluations,
-            extras={"n_islands": float(self.n_islands)},
-            force=(gen == n_generations),
-        )
+        self._record(gen, union, {"n_islands": float(self.n_islands)})
         self.callbacks(gen, union)
 
     def _loop_finish(

@@ -185,7 +185,7 @@ class MESACGA(SACGA):
             }
         )
 
-    def _phase2_generation(self, state: Dict[str, Any], n_generations: int) -> None:
+    def _phase2_generation(self, state: Dict[str, Any]) -> None:
         """One SA-mixed generation inside the current schedule phase."""
         gen = state["generation"] + 1
         idx = state["phase_idx"]
@@ -197,17 +197,15 @@ class MESACGA(SACGA):
         state["generation"] = gen
         state["step_in_phase"] = step
         self._sync_loop_state(state)
-        self.history.record(
+        self._record(
             gen,
             parted.population,
-            self._n_evaluations,
-            extras={
+            {
                 "phase": float(idx + 1),
                 "n_partitions": float(self.partition_schedule[idx]),
                 "temperature": float(gate.schedule.temperature(step)),
                 "live_partitions": float(len(live)),
             },
-            force=(gen == n_generations),
         )
         self.callbacks(gen, parted.population)
 
@@ -222,7 +220,7 @@ class MESACGA(SACGA):
             # step, keeping checkpointed states self-consistent.
             self._close_phase(state)
             self._advance_phase(state)
-        self._phase2_generation(state, n_generations)
+        self._phase2_generation(state)
 
     def _loop_finish(
         self, state: Dict[str, Any], n_generations: int

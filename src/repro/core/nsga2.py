@@ -43,7 +43,7 @@ class NSGA2(BaseOptimizer):
     ) -> Dict[str, Any]:
         population = self._initial_population(initial_x)
         self._rank_and_crowd(population)
-        self.history.record(0, population, self._n_evaluations, force=True)
+        self._record(0, population)
         self.callbacks(0, population)
         return {"generation": 0, "population": population}
 
@@ -84,12 +84,7 @@ class NSGA2(BaseOptimizer):
         state["population"] = population
         state["generation"] = gen
 
-        self.history.record(
-            gen,
-            population,
-            self._n_evaluations,
-            force=(gen == n_generations),
-        )
+        self._record(gen, population)
         self.callbacks(gen, population)
 
     def _loop_finish(

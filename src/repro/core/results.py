@@ -58,7 +58,7 @@ class OptimizationResult:
     wall_time:
         Seconds of wall-clock time in the main loop.
     history:
-        Per-generation snapshots (possibly thinned, see HistoryRecorder).
+        One snapshot per generation, generation 0 included.
     metadata:
         Free-form configuration echo (population size, partition counts,
         annealing parameters, seed) for provenance.

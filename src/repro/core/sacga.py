@@ -283,7 +283,7 @@ class SACGA(BaseOptimizer):
         self._gate_exposed = 0
         population = self._initial_population(initial_x)
         parted = PartitionedPopulation(population, self.grid)
-        self.history.record(0, parted.population, self._n_evaluations, force=True)
+        self._record(0, parted.population)
         self.callbacks(0, parted.population)
         return {
             "generation": 0,
@@ -312,11 +312,10 @@ class SACGA(BaseOptimizer):
         state["parted"] = parted
         state["generation"] = gen
         self._sync_loop_state(state)
-        self.history.record(
+        self._record(
             gen,
             parted.population,
-            self._n_evaluations,
-            extras={"phase": 1.0, "live_partitions": float(len(all_parts))},
+            {"phase": 1.0, "live_partitions": float(len(all_parts))},
         )
         self.callbacks(gen, parted.population)
 
@@ -335,7 +334,7 @@ class SACGA(BaseOptimizer):
         state["live"] = self._live_after_phase1(state["parted"])
         state["gate"] = self._make_gate(span) if span > 0 else None
 
-    def _phase2_generation(self, state: Dict[str, Any], n_generations: int) -> None:
+    def _phase2_generation(self, state: Dict[str, Any]) -> None:
         """One SA-mixed-competition generation."""
         gen = state["generation"] + 1
         step = gen - state["gen_t"]
@@ -345,16 +344,14 @@ class SACGA(BaseOptimizer):
         state["parted"] = parted
         state["generation"] = gen
         self._sync_loop_state(state)
-        self.history.record(
+        self._record(
             gen,
             parted.population,
-            self._n_evaluations,
-            extras={
+            {
                 "phase": 2.0,
                 "temperature": float(gate.schedule.temperature(step)),
                 "live_partitions": float(len(live)),
             },
-            force=(gen == n_generations),
         )
         self.callbacks(gen, parted.population)
 
@@ -376,7 +373,7 @@ class SACGA(BaseOptimizer):
             # step, so the state seen by end-of-generation callbacks (and
             # therefore by checkpoints) is always self-consistent.
             self._finish_phase1(state, n_generations)
-        self._phase2_generation(state, n_generations)
+        self._phase2_generation(state)
 
     def _loop_finish(
         self, state: Dict[str, Any], n_generations: int

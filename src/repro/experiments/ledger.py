@@ -92,9 +92,10 @@ class LedgerCallback:
     """Per-generation progress callback that feeds a :class:`RunLedger`.
 
     Emits a ``generation`` event every *every* generations with the
-    population's feasibility count and the optimizer's evaluation and
-    backend counters (cumulative, so the trace is self-contained even
-    when generations are skipped).
+    population's feasibility count, and the run's evaluated rows
+    (``n_evaluations``) and evaluation seconds (``eval_time_s``) so far,
+    both read from the optimizer's backend stats.  They are cumulative,
+    so the trace is self-contained even when generations are skipped.
 
     *extras_fn*, when given, is called per emitted event and its return
     value is attached under ``telemetry`` — the runner wires the
@@ -133,7 +134,7 @@ class LedgerCallback:
             "n_feasible": n_feasible,
             "population_size": size,
             "feasible_ratio": (n_feasible / size) if size else None,
-            "n_evaluations": int(self.optimizer._n_evaluations),
+            "n_evaluations": int(stats.n_evaluations),
             "eval_time_s": round(float(stats.eval_time), 6),
         }
         if self.extras_fn is not None:

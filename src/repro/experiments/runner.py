@@ -338,7 +338,6 @@ def run_one(
             seed=seed,
             generations=gens,
             scale=scale.label,
-            backend=algorithm.backend.describe(),
             resumed=resume_from is not None,
         )
     try:

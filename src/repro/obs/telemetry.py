@@ -13,8 +13,11 @@ and one record per generation, shaped like the run ledger's own
 * per-partition occupancy and non-dominated counts (which partitions
   starve during Phase II),
 * feasibility ratio, global front size, archive size,
-* evaluation counters and time,
 * kernel call counts.
+
+Evaluation rows and seconds are not sampled here: the ledger's
+``generation`` event and the history carry them, and the optimizer's
+``repro_backend_*`` instruments count the batches at the call.
 
 Everything is *read* from state the optimizer already computed — the
 callback never mutates the optimizer, never touches its RNG, and
@@ -94,7 +97,6 @@ class TelemetryCallback:
         self._kernel_prev: Dict[str, int] = (
             dict(kernel_counts()) if kernel_counts is not None else {}
         )
-        self._evals_prev = int(getattr(optimizer, "_n_evaluations", 0))
         self._gate_prev = (0, 0)  # (considered, exposed) cumulative
 
         # --- instrument handles, resolved once (never on the hot loop) ---
@@ -103,9 +105,6 @@ class TelemetryCallback:
         )
         self._c_generations = registry.counter(
             "repro_generations_total", "Generations completed"
-        )
-        self._c_evaluations = registry.counter(
-            "repro_evaluations_total", "Design evaluations requested"
         )
         self._g_population = registry.gauge(
             "repro_population_size", "Individuals in the current population"
@@ -183,12 +182,6 @@ class TelemetryCallback:
         if gen > 0:
             self._c_generations.inc()
 
-        n_evals = int(getattr(self.optimizer, "_n_evaluations", 0))
-        if n_evals > self._evals_prev:
-            self._c_evaluations.inc(n_evals - self._evals_prev)
-        self._evals_prev = n_evals
-        sample["n_evaluations"] = float(n_evals)
-
         size = int(population.size)
         n_feasible = int(population.feasible.sum()) if size else 0
         front = int(np.count_nonzero(population.rank == 0)) if size else 0
@@ -204,7 +197,6 @@ class TelemetryCallback:
             self._g_feasible_ratio.set(ratio)
 
         self._sample_loop_state(sample)
-        self._sample_backend(sample)
         self._sample_archive(sample)
         self._sample_kernels(sample)
 
@@ -289,9 +281,6 @@ class TelemetryCallback:
             for i, island in enumerate(islands):
                 self._g_island.labels(island=str(i)).set(float(island.size))
                 sample[f"island_size_{i}"] = float(island.size)
-
-    def _sample_backend(self, sample: Dict[str, Optional[float]]) -> None:
-        sample["eval_time_s"] = _finite(self.optimizer.backend.stats.eval_time)
 
     def _sample_archive(self, sample: Dict[str, Optional[float]]) -> None:
         if self.archive is None:

@@ -152,7 +152,6 @@ class Problem:
                 f"bounds have {self.lower.size} entries but n_var={n_var}"
             )
         self.name = name or type(self).__name__
-        self._n_evaluations = 0
 
     # ------------------------------------------------------------------ API
 
@@ -203,7 +202,6 @@ class Problem:
                 f"{self.name}: non-finite constraint for design row {bad}: "
                 f"{cons[bad]!r}"
             )
-        self._n_evaluations += arr.shape[0]
         return Evaluation(objectives=objectives, constraints=cons)
 
     def evaluate(self, x: np.ndarray) -> Evaluation:
@@ -259,17 +257,6 @@ class Problem:
     @property
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         return self.lower.copy(), self.upper.copy()
-
-    @property
-    def n_evaluations(self) -> int:
-        """Total number of design points evaluated so far."""
-        return self._n_evaluations
-
-    def reset_evaluation_counter(self, value: int = 0) -> None:
-        """Reset (or, when resuming a checkpointed run, restore) the counter."""
-        if value < 0:
-            raise ValueError(f"evaluation counter must be >= 0, got {value}")
-        self._n_evaluations = int(value)
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         """Clip decision vectors into the box bounds."""

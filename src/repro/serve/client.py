@@ -148,10 +148,9 @@ class ServeClient:
     def submit(
         self,
         params: Dict[str, Any],
-        kind: str = "run_one",
         trace_id: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Submit a job; returns its snapshot (``state == "queued"``).
+        """Submit an optimizer run; returns its snapshot (``state == "queued"``).
 
         *trace_id* propagates the caller's trace context via the
         ``X-Trace-Id`` header; the snapshot's ``trace_id`` field carries
@@ -159,10 +158,10 @@ class ServeClient:
         Raises :class:`ServeError` with ``status == 429`` when the
         service is applying backpressure — back off and retry.
         """
-        body = dict(params)
-        body["kind"] = kind
         extra = {"X-Trace-Id": trace_id} if trace_id else None
-        return self._request("POST", "/jobs", payload=body, extra_headers=extra)
+        return self._request(
+            "POST", "/jobs", payload=dict(params), extra_headers=extra
+        )
 
     def job(self, job_id: str) -> Dict[str, Any]:
         return self._request("GET", f"/jobs/{quote(job_id)}")

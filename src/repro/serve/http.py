@@ -3,7 +3,8 @@
 Endpoints (all JSON unless noted):
 
 =========================================  ====================================
-``POST /jobs``                              submit a job (202; 429 when full)
+``POST /jobs``                              submit an optimizer run (202; 429
+                                            when full; 400 for other kinds)
 ``GET /jobs``                               list jobs (``?state=queued`` filters)
 ``GET /jobs/{id}``                          one job's status/result
 ``DELETE /jobs/{id}``                       cooperative cancel
@@ -267,12 +268,18 @@ class ServeApp:
             raise ValueError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ValueError("request body must be a JSON object")
-        kind = str(payload.pop("kind", "run_one"))
+        # Only optimizer runs come in here: campaign shard jobs are
+        # submitted by POST /campaigns, which sets their root itself.
+        kind = payload.pop("kind", "run_one")
+        if kind != "run_one":
+            raise ValueError(
+                f"POST /jobs accepts kind 'run_one' only, got {kind!r}"
+            )
         # Callers propagate their own trace context via X-Trace-Id;
         # without one the manager mints a fresh id.  Either way the id
         # comes back in the snapshot for the client to follow.
         trace_id = headers.get("x-trace-id")
-        job = self.manager.submit(payload, kind=kind, trace_id=trace_id)
+        job = self.manager.submit(payload, trace_id=trace_id)
         return job.snapshot()
 
     def _create_campaign(
@@ -306,12 +313,7 @@ class ServeApp:
         if "surface" not in payload:
             raise ValueError("campaign needs a 'surface' to sweep")
         campaign_id = payload.get("campaign_id")
-        manifest = None
-        if campaign_id is not None:
-            try:
-                manifest = self.campaigns.load(str(campaign_id))
-            except UnknownCampaign:
-                manifest = None
+        manifest = self._existing_campaign(campaign_id)
         if manifest is None:
             spec = CampaignSpec.from_dict(payload.get("spec") or {})
             kwargs: Dict[str, Any] = {
@@ -322,9 +324,16 @@ class ServeApp:
                 kwargs["version"] = int(payload["version"])
             if payload.get("derated_surface") is not None:
                 kwargs["derated_surface"] = str(payload["derated_surface"])
-            manifest = self.campaigns.create_from_surface(
-                self.store, str(payload["surface"]), spec, **kwargs
-            )
+            try:
+                manifest = self.campaigns.create_from_surface(
+                    self.store, str(payload["surface"]), spec, **kwargs
+                )
+            except ValueError:
+                # A concurrent POST of the same id created it first:
+                # this one is a re-POST of an existing campaign.
+                manifest = self._existing_campaign(campaign_id)
+                if manifest is None:
+                    raise
         cid = manifest["id"]
         active = {
             int(r.params.get("shard_index", -1))
@@ -350,6 +359,14 @@ class ServeApp:
         out = self.campaigns.status(manifest)
         out["jobs"] = submitted
         return out
+
+    def _existing_campaign(self, campaign_id) -> Optional[Dict[str, Any]]:
+        if campaign_id is None:
+            return None
+        try:
+            return self.campaigns.load(str(campaign_id))
+        except UnknownCampaign:
+            return None
 
     def _campaign(self, campaign_id: str) -> Dict[str, Any]:
         manifest = self.campaigns.load(campaign_id)

@@ -1,10 +1,12 @@
 """JobManager: durable, bounded job execution for the service layer.
 
-The service layer's compute half.  Jobs wrap the experiment runner's
-:func:`~repro.experiments.runner.run_one` / ``run_many`` — one seed or a
-fault-tolerant sweep — and run asynchronously on worker threads that
-pull from a **durable SQLite-backed queue** (:class:`~repro.serve.store.
-JobStore`) rather than an in-memory one:
+The service layer's compute half.  A job is one seed of the experiment
+runner's :func:`~repro.experiments.runner.run_one` (kind ``run_one``;
+a seed sweep is one such job per seed) or one robustness-campaign shard
+(kind ``campaign_shard``, submitted by ``POST /campaigns`` only).  Jobs
+run asynchronously on worker threads that pull from a **durable
+SQLite-backed queue** (:class:`~repro.serve.store.JobStore`) rather
+than an in-memory one:
 
 * ``submit`` validates, persists the job and returns it immediately, or
   raises :class:`JobQueueFull` when the queue is at its bound — the HTTP
@@ -45,7 +47,7 @@ import uuid
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
-from repro.experiments.runner import resume_run, run_many, run_one
+from repro.experiments.runner import resume_run, run_one
 from repro.obs.logging import get_logger
 from repro.obs.registry import NULL_METRICS
 from repro.obs.tracing import (
@@ -93,15 +95,12 @@ JOB_PARAMS = frozenset(
         "n_mc",
         "mc_seed",
         "use_corners",
-        "n_seeds",
         "seed_index",
         "experiment_id",
         "n_partitions",
         "surface",
         "timeout_s",
         "checkpoint_every",
-        "retries",
-        "skip_failures",
     }
 )
 
@@ -132,10 +131,10 @@ class JobManager:
     metrics:
         A :class:`~repro.obs.registry.MetricsRegistry` (or the default
         no-op) receiving the pool gauges and counters.
-    runner / sweep_runner / resume_runner:
-        The callables that execute ``run_one``-shaped, ``run_many``-
-        shaped and checkpoint-resume jobs.  Tests inject stubs here to
-        exercise fault paths deterministically.
+    runner / resume_runner:
+        The callables that execute ``run_one``-shaped and
+        checkpoint-resume jobs.  Tests inject stubs here to exercise
+        fault paths deterministically.
     job_store:
         An existing :class:`~repro.serve.store.JobStore` to share;
         by default one is opened at ``<data_dir>/jobs.sqlite``.
@@ -163,7 +162,6 @@ class JobManager:
         queue_size: int = 16,
         metrics=None,
         runner: Callable = run_one,
-        sweep_runner: Callable = run_many,
         resume_runner: Callable = resume_run,
         job_store: Optional[JobStore] = None,
         lease_s: float = DEFAULT_LEASE_S,
@@ -249,7 +247,6 @@ class JobManager:
                 lease_s=lease_s,
                 poll_s=poll_s,
                 runner=runner,
-                sweep_runner=sweep_runner,
                 resume_runner=resume_runner,
                 cancel_events=self._cancel_events,
                 cancel_events_lock=self._cancel_lock,
@@ -290,10 +287,9 @@ class JobManager:
         :class:`JobQueueFull` when the queue is at capacity (the
         rejected submission persists nothing).
         """
-        if kind not in ("run_one", "run_many", "campaign_shard"):
+        if kind not in ("run_one", "campaign_shard"):
             raise ValueError(
-                f"unknown job kind {kind!r} "
-                "(want run_one/run_many/campaign_shard)"
+                f"unknown job kind {kind!r} (want run_one/campaign_shard)"
             )
         trace_id = mint_trace_id() if trace_id is None else check_trace_id(trace_id)
         params = dict(params or {})

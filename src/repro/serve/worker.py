@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.callbacks import RunTimeoutError
 from repro.experiments.ledger import RunLedger
-from repro.experiments.runner import Scale, resume_run, run_many, run_one
+from repro.experiments.runner import Scale, resume_run, run_one
 from repro.experiments.tradeoff import DesignSurface
 from repro.obs.exporters import to_prometheus
 from repro.obs.logging import get_logger
@@ -165,9 +165,9 @@ class WorkerLoop:
         Lease-owner label; defaults to ``host:pid:random``.
     lease_s / poll_s:
         Lease duration and idle-poll interval.
-    runner / sweep_runner / resume_runner:
-        The callables executing ``run_one``-shaped, ``run_many``-shaped
-        and resume jobs (tests inject stubs).
+    runner / resume_runner:
+        The callables executing ``run_one``-shaped and resume jobs
+        (tests inject stubs).
     cancel_events:
         Optional shared ``{job_id: Event}`` dict (+ its lock) letting a
         same-process manager cancel a running job without waiting for
@@ -199,7 +199,6 @@ class WorkerLoop:
         lease_s: float = DEFAULT_LEASE_S,
         poll_s: float = 0.2,
         runner: Callable = run_one,
-        sweep_runner: Callable = run_many,
         resume_runner: Callable = resume_run,
         cancel_events: Optional[Dict[str, threading.Event]] = None,
         cancel_events_lock: Optional[threading.Lock] = None,
@@ -220,7 +219,6 @@ class WorkerLoop:
         self.lease_s = float(lease_s)
         self.poll_s = float(poll_s)
         self._runner = runner
-        self._sweep_runner = sweep_runner
         self._resume_runner = resume_runner
         self._cancel_events = cancel_events if cancel_events is not None else {}
         self._cancel_lock = cancel_events_lock or threading.Lock()
@@ -377,13 +375,19 @@ class WorkerLoop:
     def _execute(self, record: JobRecord, token, cancel_event):
         if record.kind == "campaign_shard":
             return self._execute_campaign_shard(record, cancel_event)
+        if record.kind != "run_one":
+            # Seed sweeps (kind run_many) are no longer run; a row left
+            # in an older store fails here and the worker moves on.
+            raise ValueError(
+                f"job kind {record.kind!r} is not supported; submit one "
+                "run_one job per seed instead"
+            )
         params = record.params
         base = Scale.from_env()
         scale = Scale(
             population=int(params.get("population", base.population)),
             generations=int(params.get("generations", base.generations)),
             n_mc=int(params.get("n_mc", base.n_mc)),
-            n_seeds=int(params.get("n_seeds", base.n_seeds)),
             label="serve",
         )
         algo_kwargs: Dict[str, Any] = {}
@@ -403,88 +407,69 @@ class WorkerLoop:
                     "attempt": record.attempt,
                 },
             )
-        # Rows submitted before the backend/kernel options were removed
-        # may still carry backend/workers/cache_size/kernel: only the
-        # keys read here reach the runner, so those are ignored.
-        common = dict(
-            scale=scale,
-            generations=scale.generations,
-            ledger=ledger,
-            timeout_s=params.get("timeout_s"),
-            callbacks=[token],
-            **algo_kwargs,
-        )
-        # Robustness knobs are forwarded only when submitted, so stub
-        # runners (and old jobs) see the historical signature.
-        if "use_corners" in params:
-            common["use_corners"] = bool(params["use_corners"])
-        if "mc_seed" in params:
-            common["mc_seed"] = int(params["mc_seed"])
-        experiment_id = str(params.get("experiment_id", "serve"))
+        summary = None
         resumed = False
-        if record.kind == "run_one":
-            summary = None
-            if (
-                record.attempt > 1
-                and record.checkpoint_path
-                and Path(record.checkpoint_path).exists()
-            ):
-                # Reclaimed after a worker death: continue from the last
-                # checkpoint instead of restarting (PR 3's resume is
-                # byte-identical to an uninterrupted run).
-                try:
-                    with self.recorder.span("worker:resume"):
-                        summary = self._resume_runner(
-                            record.checkpoint_path,
-                            ledger=ledger,
-                            timeout_s=params.get("timeout_s"),
-                            callbacks=[token],
-                        )
-                    resumed = True
-                except (OSError, ValueError, EOFError, pickle.UnpicklingError):
-                    summary = None  # corrupt/alien checkpoint: run fresh
-            if summary is None:
-                with self.recorder.span("worker:run"):
-                    summary = self._runner(
-                        params["algorithm"],
-                        experiment_id,
-                        seed_index=int(params.get("seed_index", 0)),
-                        checkpoint_path=record.checkpoint_path,
-                        checkpoint_every=int(params.get("checkpoint_every", 10)),
-                        **common,
+        if (
+            record.attempt > 1
+            and record.checkpoint_path
+            and Path(record.checkpoint_path).exists()
+        ):
+            # Reclaimed after a worker death: continue from the last
+            # checkpoint instead of restarting (a resumed run is
+            # byte-identical to an uninterrupted one).
+            try:
+                with self.recorder.span("worker:resume"):
+                    summary = self._resume_runner(
+                        record.checkpoint_path,
+                        ledger=ledger,
+                        timeout_s=params.get("timeout_s"),
+                        callbacks=[token],
                     )
-            summaries = [summary]
-        else:
-            with self.recorder.span("worker:sweep"):
-                summaries = self._sweep_runner(
+                resumed = True
+            except (OSError, ValueError, EOFError, pickle.UnpicklingError):
+                summary = None  # corrupt/alien checkpoint: run fresh
+        if summary is None:
+            # Rows submitted before the backend/kernel options were
+            # removed may still carry backend/workers/cache_size/kernel:
+            # only the keys read here reach the runner, so those are
+            # ignored.  Robustness knobs are forwarded only when
+            # submitted, so stub runners (and old jobs) see the
+            # historical signature.
+            robustness: Dict[str, Any] = {}
+            if "use_corners" in params:
+                robustness["use_corners"] = bool(params["use_corners"])
+            if "mc_seed" in params:
+                robustness["mc_seed"] = int(params["mc_seed"])
+            with self.recorder.span("worker:run"):
+                summary = self._runner(
                     params["algorithm"],
-                    experiment_id,
-                    retries=int(params.get("retries", 0)),
-                    skip_failures=bool(params.get("skip_failures", True)),
-                    **common,
+                    str(params.get("experiment_id", "serve")),
+                    seed_index=int(params.get("seed_index", 0)),
+                    checkpoint_path=record.checkpoint_path,
+                    checkpoint_every=int(params.get("checkpoint_every", 10)),
+                    scale=scale,
+                    generations=scale.generations,
+                    ledger=ledger,
+                    timeout_s=params.get("timeout_s"),
+                    callbacks=[token],
+                    **robustness,
+                    **algo_kwargs,
                 )
-        if cancel_event.is_set():
-            # A cancelled sweep seed is swallowed by run_many's fault
-            # tolerance; surface the cancellation as the job outcome.
-            raise JobCancelled("job cancelled mid-run")
-        surface_info = self._register_surface(record, summaries, resumed=resumed)
-        runs = [
-            {
-                "algorithm": s.algorithm,
-                "seed": s.seed,
-                "front_size": s.front_size,
-                "hv_paper": s.hv_paper,
-                "coverage": s.coverage,
-                "n_evaluations": s.n_evaluations,
-                "wall_time": s.wall_time,
-            }
-            for s in summaries
-        ]
+        surface_info = self._register_surface(record, summary, resumed=resumed)
+        run = {
+            "algorithm": summary.algorithm,
+            "seed": summary.seed,
+            "front_size": summary.front_size,
+            "hv_paper": summary.hv_paper,
+            "coverage": summary.coverage,
+            "n_evaluations": summary.n_evaluations,
+            "wall_time": summary.wall_time,
+        }
         result = jsonable(
             {
                 "kind": record.kind,
-                "n_runs": len(runs),
-                "runs": runs,
+                "n_runs": 1,
+                "runs": [run],
                 "surface": surface_info,
                 "attempt": record.attempt,
                 "resumed": resumed,
@@ -543,17 +528,15 @@ class WorkerLoop:
         )
         return result, None
 
-    def _register_surface(self, record: JobRecord, summaries, resumed: bool = False):
-        if self.surfaces is None or not summaries:
+    def _register_surface(self, record: JobRecord, summary, resumed: bool = False):
+        result = summary.result
+        if (
+            self.surfaces is None
+            or result is None
+            or result.front_objectives.shape[0] == 0
+        ):
             return None
-        results = [
-            s.result
-            for s in summaries
-            if s.result is not None and s.result.front_objectives.shape[0] > 0
-        ]
-        if not results:
-            return None
-        surface = DesignSurface.from_results(results)
+        surface = DesignSurface.from_results([result])
         name = str(record.params.get("surface") or record.id)
         with self.recorder.span("worker:register_surface", surface=name) as span:
             version = self.surfaces.register(

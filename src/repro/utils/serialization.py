@@ -18,14 +18,6 @@ from repro.core.results import GenerationRecord, OptimizationResult
 PathLike = Union[str, Path]
 
 
-#: Timing fields stripped by ``include_timing=False`` — everything else
-#: in a result is deterministic given (seed, config), and these are the
-#: only wall-clock-dependent values, so the stripped payload is
-#: byte-identical across reruns (locked in by
-#: ``tests/core/test_determinism_regression.py``).
-TIMING_EXTRAS = ("eval_time_s",)
-
-
 def result_to_dict(
     result: OptimizationResult,
     include_history: bool = True,
@@ -34,9 +26,11 @@ def result_to_dict(
 ) -> Dict[str, Any]:
     """Plain-dict view of a result (see :func:`save_result`).
 
-    ``include_timing=False`` zeroes/strips wall-clock fields
-    (``wall_time``, backend ``eval_time``, per-record timing extras) so
-    two runs with the same seed and config serialize byte-identically.
+    ``include_timing=False`` zeroes/strips the only wall-clock fields
+    (``wall_time``, the run's ``backend_stats["eval_time"]`` and each
+    record's ``eval_time_s``), so two runs with the same seed and config
+    serialize byte-identically (locked in by
+    ``tests/core/test_determinism_regression.py``).
     """
     metadata = _jsonable(result.metadata)
     if not include_timing and isinstance(metadata.get("backend_stats"), dict):
@@ -56,8 +50,7 @@ def result_to_dict(
         for rec in result.history:
             extras = _jsonable(rec.extras)
             if not include_timing:
-                for key in TIMING_EXTRAS:
-                    extras.pop(key, None)
+                extras.pop("eval_time_s", None)
             history.append(
                 {
                     "generation": rec.generation,

@@ -77,6 +77,56 @@ class TestCreate:
         with pytest.raises(ValueError, match="already exists"):
             runner.create(tiny_spec, x, c_load, power, campaign_id="camp-dup")
 
+    def test_concurrent_creates_of_one_id(self, runner, tiny_spec, batch, monkeypatch):
+        """Two threads that create the same id at once: exactly one
+        returns, the other raises the documented ValueError, and the
+        manifest on disk is the winner's.
+
+        Each thread that passes the existence check waits in
+        ``expand_scenarios`` for the other one.  Creators queue on the
+        campaign lock, so only one gets there; its wait times out, and
+        the test does not deadlock."""
+        import repro.campaign.engine as engine
+
+        x, c_load, power = batch
+        both_creating = threading.Barrier(2, timeout=2)
+        real_expand = engine.expand_scenarios
+
+        def expand_when_both_there(spec):
+            try:
+                both_creating.wait()
+            except threading.BrokenBarrierError:
+                pass  # the other creator is queued on the lock
+            return real_expand(spec)
+
+        monkeypatch.setattr(engine, "expand_scenarios", expand_when_both_there)
+        manifests, errors = [], []
+
+        def create(trace_id):
+            try:
+                manifests.append(
+                    runner.create(
+                        tiny_spec, x, c_load, power,
+                        campaign_id="camp-race", trace_id=trace_id,
+                    )
+                )
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=create, args=(trace_id,))
+            for trace_id in ("a" * 32, "b" * 32)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(manifests) == 1
+        assert [type(e) for e in errors] == [ValueError]
+        assert "already exists" in str(errors[0])
+        assert runner.load("camp-race") == manifests[0]
+
     def test_bad_id_refused(self, runner, tiny_spec, batch):
         x, c_load, power = batch
         with pytest.raises(ValueError, match="invalid campaign id"):
@@ -172,7 +222,7 @@ class TestFinalize:
         version, and both return the report that names it.
 
         Each thread that reaches registration waits there for the other
-        one.  Finalizers queue on the finalize lock, so only one gets
+        one.  Finalizers queue on the campaign lock, so only one gets
         there; its wait times out, and the test does not deadlock."""
         store = SurfaceStore(tmp_path / "surfaces")
         runner = CampaignRunner(tmp_path / "campaigns", surfaces=store)
@@ -332,9 +382,7 @@ class TestCheckpointSource:
             "loop_state": {"population": population},
             "history": [],
             "n_evaluations": 0,
-            "problem_evaluations": 0,
-            "backend_stats": {},
-            "backend_stats_prev": {},
+            "backend_stats": {"n_batches": 0, "eval_time": 0.0},
             "wall_time": 0.0,
         }
         path = save_checkpoint(payload, tmp_path / "ckpt.pkl")

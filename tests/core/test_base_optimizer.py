@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.base_optimizer import BaseOptimizer
 from repro.core.nsga2 import NSGA2
-from repro.problems.synthetic import SCH
+from repro.problems.synthetic import SCH, ClusteredFeasibility
 
 
 class TestValidation:
@@ -28,11 +28,16 @@ class TestBookkeeping:
         assert first.n_evaluations == second.n_evaluations
         assert len(first.history) == len(second.history)
 
-    def test_problem_counter_reset_per_run(self):
-        problem = SCH()
-        algo = NSGA2(problem, population_size=12, seed=0)
-        algo.run(3)
-        assert problem.n_evaluations == 12 * 4
+    def test_reused_optimizer_counts_only_its_own_run(self):
+        """A second run on the same optimizer reports its own rows and
+        batches, in the result and in the metadata alike."""
+        algo = NSGA2(ClusteredFeasibility(n_var=4), population_size=16, seed=0)
+        algo.run(5)
+        second = algo.run(5)
+        assert second.n_evaluations == 16 * 6
+        assert second.metadata["backend_stats"]["n_batches"] == 6
+        assert algo.backend.stats.n_evaluations == second.n_evaluations
+        assert second.history[-1].n_evaluations == second.n_evaluations
 
     def test_wall_time_recorded(self):
         result = NSGA2(SCH(), population_size=12, seed=0).run(3)

@@ -1,7 +1,6 @@
 """Tests for run records and history callbacks."""
 
 import numpy as np
-import pytest
 
 from repro.core.callbacks import CallbackList, HistoryRecorder
 from repro.core.individual import Population
@@ -17,28 +16,21 @@ def small_population(n=8, seed=0):
 
 class TestHistoryRecorder:
     def test_cadence(self):
-        rec = HistoryRecorder(every=3)
+        """Every generation is recorded: there is no cadence to set."""
+        rec = HistoryRecorder()
         pop = small_population()
-        for gen in range(10):
+        for gen in range(4):
             rec.record(gen, pop, n_evaluations=gen * 10)
-        assert [r.generation for r in rec.records] == [0, 3, 6, 9]
+        assert [r.generation for r in rec.records] == [0, 1, 2, 3]
+        assert [r.n_evaluations for r in rec.records] == [0, 10, 20, 30]
 
-    def test_force_overrides_cadence(self):
-        rec = HistoryRecorder(every=100)
-        pop = small_population()
-        rec.record(7, pop, 70, force=True)
-        assert [r.generation for r in rec.records] == [7]
-
-    def test_invalid_cadence(self):
-        with pytest.raises(ValueError, match="every"):
-            HistoryRecorder(every=0)
-
-    def test_store_fronts_false_drops_objectives(self):
-        rec = HistoryRecorder(store_fronts=False)
+    def test_record_keeps_the_feasible_front(self):
+        rec = HistoryRecorder()
         pop = small_population()
         rec.record(0, pop, 0)
-        assert rec.records[0].front_objectives.size == 0
-        assert rec.records[0].n_feasible == pop.size
+        _, front = extract_feasible_front(pop)
+        np.testing.assert_array_equal(rec.records[0].front_objectives, front)
+        assert rec.records[0].n_feasible == int(pop.feasible.sum())
 
     def test_extras_copied(self):
         rec = HistoryRecorder()

@@ -242,8 +242,9 @@ class TestLedgerCallbackSanitization:
         from types import SimpleNamespace
 
         return SimpleNamespace(
-            backend=SimpleNamespace(stats=SimpleNamespace(eval_time=0.0)),
-            _n_evaluations=0,
+            backend=SimpleNamespace(
+                stats=SimpleNamespace(n_evaluations=0, eval_time=0.0)
+            ),
         )
 
     @staticmethod
@@ -306,10 +307,11 @@ class TestRunOneLedger:
         assert started["run"] == "ledger-test/tpg/seed0"
         assert started["generations"] == TINY.generations
         assert started["resumed"] is False
+        assert "backend" not in started
         finished = events[-1]
         assert finished["n_evaluations"] == 16 * 6
-        assert "backend_stats" in finished
-        assert finished["backend_stats"]["n_evaluations"] == 16 * 6
+        assert finished["backend_stats"]["n_batches"] == 6
+        assert "n_evaluations" not in finished["backend_stats"]
 
     def test_failed_run_recorded_and_reraised(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -2,11 +2,14 @@
 
 import json
 
+import pytest
+
 from repro.obs.records import read_records
-from repro.experiments.runner import Scale, run_one
+from repro.experiments.runner import Scale, resume_run, run_one
 from repro.obs.exporters import parse_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import gate_probability_curves
+from tests.experiments.test_ledger import Boom, KillAt
 
 TINY = Scale(population=16, generations=5, n_mc=2, n_seeds=1, label="tiny")
 # Long enough to get past the default Phase-I cap (10 generations), so
@@ -107,3 +110,47 @@ def test_uninstrumented_ledger_has_no_telemetry_field(tmp_path):
     assert all("feasible_ratio" in e for e in gen_events)
     finished = [e for e in read_records(path) if e["event"] == "run_finished"]
     assert finished and "profile" not in finished[0]
+
+
+def _sample(snapshot, name, sample_name=None):
+    (value,) = [
+        s["value"]
+        for s in snapshot[name]["samples"]
+        if s["name"] == (sample_name or name)
+    ]
+    return value
+
+
+def test_resumed_run_counts_the_run_and_this_process(tmp_path):
+    """After a resume, the Prometheus instruments count the batches this
+    process ran (generations 9-12), while the result and ``run_finished``
+    count the whole run (generations 0-12)."""
+    ckpt = tmp_path / "run.ckpt"
+    with pytest.raises(Boom):
+        run_one(
+            "sacga", "obs-resume", scale=GATED, n_partitions=4,
+            checkpoint_path=str(ckpt), checkpoint_every=4,
+            callbacks=[KillAt(8)],
+        )
+    prefix = tmp_path / "resumed"
+    ledger = tmp_path / "run.jsonl"
+    summary = resume_run(
+        str(ckpt), metrics=True, metrics_out=str(prefix), ledger=str(ledger)
+    )
+    snapshot = parse_prometheus((tmp_path / "resumed.prom").read_text("utf-8"))
+    batches = _sample(snapshot, "repro_backend_batches_total")
+    assert batches == 4
+    assert _sample(snapshot, "repro_backend_rows_total") == 4 * GATED.population
+    assert (
+        _sample(snapshot, "repro_backend_batch_seconds",
+                "repro_backend_batch_seconds_count")
+        == batches
+    )
+    assert "repro_evaluations_total" not in snapshot
+
+    whole_run = (GATED.generations + 1) * GATED.population
+    assert summary.n_evaluations == whole_run
+    assert summary.result.metadata["backend_stats"]["n_batches"] == 13
+    (finished,) = [e for e in read_records(ledger) if e["event"] == "run_finished"]
+    assert finished["n_evaluations"] == whole_run
+    assert finished["backend_stats"]["n_batches"] == 13

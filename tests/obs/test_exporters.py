@@ -15,7 +15,7 @@ from repro.obs.registry import MetricsRegistry
 
 def populated_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
-    reg.counter("repro_evaluations_total", "Design evaluations").inc(880)
+    reg.counter("repro_backend_rows_total", "Design rows").inc(880)
     reg.gauge("repro_temperature", "Annealing T_A").set(0.125)
     fam = reg.gauge("repro_occupancy", "Per-partition members", labels=("partition",))
     fam.labels(partition="0").set(10)
@@ -30,9 +30,9 @@ class TestPrometheus:
     def test_round_trip_preserves_values(self):
         text = to_prometheus(populated_registry())
         metrics = parse_prometheus(text)
-        assert metrics["repro_evaluations_total"]["kind"] == "counter"
-        assert metrics["repro_evaluations_total"]["help"] == "Design evaluations"
-        (sample,) = metrics["repro_evaluations_total"]["samples"]
+        assert metrics["repro_backend_rows_total"]["kind"] == "counter"
+        assert metrics["repro_backend_rows_total"]["help"] == "Design rows"
+        (sample,) = metrics["repro_backend_rows_total"]["samples"]
         assert sample["value"] == 880.0
 
         occ = {
@@ -85,7 +85,7 @@ class TestPrometheus:
     def test_save_prometheus(self, tmp_path):
         path = save_prometheus(populated_registry(), tmp_path / "snap.prom")
         metrics = parse_prometheus(path.read_text(encoding="utf-8"))
-        assert "repro_evaluations_total" in metrics
+        assert "repro_backend_rows_total" in metrics
 
 
 class TestLabelEscaping:

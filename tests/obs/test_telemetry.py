@@ -184,9 +184,8 @@ class TestHotLoopRegistryIsolation:
 class _FakeOptimizer:
     def __init__(self):
         self.backend = SimpleNamespace(
-            stats=SimpleNamespace(cache_hits=0, cache_misses=0, eval_time=0.0)
+            stats=SimpleNamespace(n_evaluations=0, eval_time=0.0)
         )
-        self._n_evaluations = 0
         self._loop_state = None
 
 

@@ -98,14 +98,6 @@ class TestProblem:
         x = np.array([[-1.0, 0.5, 2.0]])
         np.testing.assert_allclose(problem.clip(x), [[0.0, 0.5, 1.0]])
 
-    def test_evaluation_counter(self):
-        problem = Toy()
-        problem.evaluate(problem.sample(7, as_rng(0)))
-        problem.evaluate(problem.sample(3, as_rng(0)))
-        assert problem.n_evaluations == 10
-        problem.reset_evaluation_counter()
-        assert problem.n_evaluations == 0
-
     def test_bounds_property_returns_copies(self):
         problem = Toy()
         lo, _ = problem.bounds

@@ -59,14 +59,3 @@ def test_integrator_with_ladder_spec_roundtrips():
     clone = roundtrip(problem)
     assert clone.spec == problem.spec
     assert_same_behavior(problem, clone, n=3)
-
-
-def test_roundtrip_preserves_evaluation_counter_independence():
-    """The clone keeps its own counter; evaluating one never moves the other."""
-    problem = ALL_SYNTHETIC["SCH"]()
-    problem.evaluate(problem.sample(5, np.random.default_rng(1)))
-    clone = roundtrip(problem)
-    assert clone.n_evaluations == problem.n_evaluations == 5
-    clone.evaluate(clone.sample(3, np.random.default_rng(2)))
-    assert clone.n_evaluations == 8
-    assert problem.n_evaluations == 5

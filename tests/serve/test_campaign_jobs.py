@@ -318,6 +318,32 @@ class TestHttpCampaigns:
         finally:
             app.manager.shutdown()
 
+    def test_post_that_loses_the_create_race_resumes(self, tmp_path, monkeypatch):
+        """Another POST of the same id creates the campaign between this
+        POST's lookup and its create: create raises the documented
+        ValueError, and this POST answers as a re-POST of that id."""
+        app = make_app(tmp_path, workers=0)
+        register_front(app.store)
+        real_create = app.campaigns.create_from_surface
+
+        def create_after_the_other_post(*args, **kwargs):
+            real_create(*args, **kwargs)  # the other POST wins the race
+            return real_create(*args, **kwargs)
+
+        monkeypatch.setattr(
+            app.campaigns, "create_from_surface", create_after_the_other_post
+        )
+        try:
+            body = json.dumps(
+                {"surface": "front", "spec": self.SPEC, "campaign_id": "race-c"}
+            ).encode()
+            status, payload = body_json(app.handle("POST", "/campaigns", body))
+            assert status == 202, payload
+            assert payload["id"] == "race-c"
+            assert len(payload["jobs"]) == 1
+        finally:
+            app.manager.shutdown()
+
     def test_derated_surface_registered_and_queryable(self, tmp_path):
         app = make_app(tmp_path, workers=1)
         register_front(app.store)

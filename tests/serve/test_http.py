@@ -134,6 +134,37 @@ class TestRouting:
         finally:
             app.manager.shutdown()
 
+    def test_post_jobs_accepts_optimizer_runs_only(self, tmp_path):
+        """Shard jobs come from POST /campaigns alone: a shard job posted
+        to /jobs with a root of the caller's choosing is refused before
+        anything touches that root."""
+        app = make_app(tmp_path)
+        elsewhere = tmp_path / "elsewhere" / "campaigns"
+        try:
+            shard = {
+                "kind": "campaign_shard",
+                "campaign_root": str(elsewhere),
+                "campaign_id": "c",
+                "shard_index": 0,
+            }
+            sweep = {"kind": "run_many", "algorithm": "sacga"}
+            for body in (shard, sweep):
+                status, payload = body_json(
+                    app.handle("POST", "/jobs", json.dumps(body).encode())
+                )
+                assert status == 400
+                assert "accepts kind 'run_one' only" in payload["error"]
+            assert app.manager.list_jobs() == []
+            assert not (tmp_path / "elsewhere").exists()
+            status, payload = body_json(
+                app.handle(
+                    "POST", "/jobs", b'{"kind": "run_one", "algorithm": "tpg"}'
+                )
+            )
+            assert status == 202
+        finally:
+            app.manager.shutdown()
+
     def test_query_validation_400(self, tmp_path):
         app = make_app(tmp_path)
         try:

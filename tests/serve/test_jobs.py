@@ -163,6 +163,28 @@ class TestValidation:
         assert done["state"] == "done", done.get("error")
         assert done["result"]["runs"][0]["n_evaluations"] == 8 * 3
 
+    def test_stored_sweep_job_fails_and_worker_keeps_serving(self, tmp_path):
+        """A seed-sweep row (kind run_many) left in an older store fails
+        with a clear error, and the worker goes on to the next job."""
+        with JobManager(data_dir=tmp_path, workers=0) as manager:
+            manager.job_store.submit(
+                JobRecord(
+                    id="job-sweep",
+                    kind="run_many",
+                    params={"algorithm": "sacga", "n_seeds": 3, "retries": 1},
+                )
+            )
+            manager.job_store.submit(
+                JobRecord(id="job-next", kind="run_one", params={"algorithm": "tpg"})
+            )
+            loop = WorkerLoop(manager.job_store, runner=fast_runner, worker_id="w")
+            assert loop.run(max_jobs=2) == 2
+            sweep = manager.status("job-sweep")
+            following = manager.status("job-next")
+        assert sweep["state"] == "failed"
+        assert "job kind 'run_many' is not supported" in sweep["error"]
+        assert following["state"] == "done", following.get("error")
+
     def test_unknown_job_id(self, tmp_path):
         with JobManager(data_dir=tmp_path, workers=1) as manager:
             with pytest.raises(UnknownJob):

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _scale_from_args, build_parser, main
+from repro.experiments.runner import Scale
 
 
 class TestParser:
@@ -158,6 +160,38 @@ class TestParser:
         )
         assert args.campaign_id == "camp-1"
         assert args.max_rows == 5
+
+
+class TestScaleFromArgs:
+    """``repro run`` and ``repro figures`` take 0 generations at its word,
+    and argparse refuses budgets below the floor."""
+
+    @staticmethod
+    def scale(argv):
+        return _scale_from_args(build_parser().parse_args(argv))
+
+    def test_zero_generations_is_not_the_default(self):
+        assert self.scale(["run", "tpg", "--generations", "0"]).generations == 0
+        assert self.scale(["figures", "--generations", "0"]).generations == 0
+
+    def test_given_values_replace_only_their_field(self):
+        default = Scale.from_env()
+        assert self.scale(["run", "tpg", "--n-mc", "1"]) == replace(default, n_mc=1)
+        assert self.scale(["run", "tpg"]) == default
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "tpg", "--n-mc", "0"],
+            ["run", "tpg", "--generations", "-1"],
+            ["figures", "--generations", "-1"],
+        ],
+    )
+    def test_budget_below_floor_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
 
 
 class TestCommands:
