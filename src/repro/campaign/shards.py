@@ -8,11 +8,13 @@ scenario grid.  The evaluation is expressed as a
 Parallelism comes from running shards as durable jobs on several
 ``repro workers`` processes.
 
-Within one scenario the ``stacked_technology`` trick packs all ``n_mc``
-Monte-Carlo process samples into a single card, so one
-``analyze_integrator`` call covers ``(samples x designs)``.  The per-
-scenario result — worst-sample power plus one pass bit per (sample,
-design) — is packed into the objective matrix as float columns::
+The ``stacked_technology`` trick packs every (scenario, Monte-Carlo
+sample) card of the shard — each scenario's corner, supply and
+temperature under each of the ``n_mc`` process samples — into a single
+card, so one ``analyze_integrator`` call covers
+``(scenarios x samples x designs)``.  The per-scenario result —
+worst-sample power plus one pass bit per (sample, design) — is packed
+into the objective matrix as float columns::
 
     objectives[:, s*(1+m) + 0]      worst-sample power under scenario s
     objectives[:, s*(1+m) + 1+j]    pass bit of MC sample j (0.0 / 1.0)
@@ -44,7 +46,7 @@ from repro.circuits.sizing_problem import (
 )
 from repro.circuits.specs import IntegratorSpec, published_spec
 from repro.circuits.technology import nominal_technology
-from repro.circuits.yield_est import MonteCarloSampler
+from repro.circuits.yield_est import MonteCarloSampler, stacked_technology
 from repro.core.evaluation import EvaluationBackend
 from repro.problems.base import Problem
 
@@ -67,6 +69,10 @@ class CampaignShardProblem(Problem):
     constraints.  The pass/fail semantics are
     :func:`~repro.circuits.sizing_problem.spec_pass_matrix` — the same
     predicate the sizing problem's robustness constraint uses.
+
+    The shard is one stacked card of ``n_scenarios * n_mc`` rows
+    (scenario-major), so an evaluation is one ``analyze_integrator``
+    call whose rows are sliced back into scenarios.
     """
 
     def __init__(
@@ -96,39 +102,30 @@ class CampaignShardProblem(Problem):
             seed=spec.mc_seed,
         )
         base = nominal_technology()
-        self._scenario_techs = [
-            scenario_technology(s, base) for s in scenarios
-        ]
-        # One stacked (n_mc, 1) card per scenario: a single analysis call
-        # then covers every (sample, design) pair of that scenario.
-        self._stacked_techs = [
-            self.sampler.stacked(tech) for tech in self._scenario_techs
-        ]
+        self._tech = stacked_technology([
+            card
+            for s in scenarios
+            for card in self.sampler.cards(scenario_technology(s, base))
+        ])
 
     def _evaluate(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         p = IntegratorSizingProblem.decode(x)
         design = IntegratorSizingProblem._design_from_params(p)
         ispec = self.integrator_spec
-        eps = ispec.se_max / 2.0
-        cols: List[np.ndarray] = []
         n = np.atleast_2d(x).shape[0]
-        for tech, stacked in zip(self._scenario_techs, self._stacked_techs):
-            perf = analyze_integrator(stacked, design, settle_epsilon=eps)
-            mismatch = self.sampler.mismatch_offsets(
-                tech.nmos.a_vt, p["w1"], p["l1"]
-            )
-            passes = spec_pass_matrix(ispec, perf, offset_extra=mismatch)
-            passes = np.broadcast_to(
-                np.atleast_2d(passes), (self.campaign_spec.n_mc, n)
-            )
-            power = np.asarray(perf.power, dtype=float)
-            if power.ndim > 1:
-                power = power.max(axis=0)
-            power = np.broadcast_to(power, (n,))
-            cols.append(power)
-            cols.extend(passes.astype(float))
-        objectives = np.column_stack(cols)
-        return objectives, np.zeros((n, 0))
+        n_scenarios, n_mc = len(self.scenarios), self.campaign_spec.n_mc
+        perf = analyze_integrator(self._tech, design, settle_epsilon=ispec.se_max / 2.0)
+        # Every scenario sees the same mismatch draw per sample.
+        mismatch = self.sampler.mismatch_offsets(self._tech.nmos.a_vt, p["w1"], p["l1"])
+        passes = spec_pass_matrix(
+            ispec, perf, offset_extra=np.tile(mismatch, (n_scenarios, 1))
+        ).reshape(n_scenarios, n_mc, n)
+        power = perf.power.reshape(n_scenarios, n_mc, n).max(axis=1)
+        cols: List[np.ndarray] = []
+        for s in range(n_scenarios):
+            cols.append(power[s])
+            cols.extend(passes[s].astype(float))
+        return np.column_stack(cols), np.zeros((n, 0))
 
 
 def unpack_objectives(
@@ -240,7 +237,9 @@ def write_shard(path: PathLike, result: ShardResult) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
     with tmp.open("w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
+        # One compact ``dumps`` runs on json's C encoder (``indent`` or a
+        # streaming ``dump`` fall back to the pure-Python one).
+        fh.write(json.dumps(result.to_dict(), separators=(",", ":")))
         fh.write("\n")
         fh.flush()
         os.fsync(fh.fileno())

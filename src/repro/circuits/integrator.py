@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.devices import CapacitorModel
+from repro.circuits.mosfet import MosfetModel
 from repro.circuits.opamp import OpAmpPerformance, OpAmpSizing, analyze_opamp, phase_margin_deg
 from repro.circuits.technology import Technology
 
@@ -252,10 +253,17 @@ def analyze_integrator(
 ) -> IntegratorPerformance:
     """Full vectorized analysis of the CDS SC integrator.
 
+    The feedback factor needs the input pair's ``Cgs``, which depends on
+    geometry alone (:meth:`~repro.circuits.mosfet.MosfetModel.gate_source_cap`
+    of ``w1``, ``l1``), so beta and the amplifier load are fixed before
+    the op-amp is analysed, and each bias point is solved once.
+
     Parameters
     ----------
     tech:
-        Process card (nominal, corner or MC-perturbed).
+        Process card (nominal, corner, MC-perturbed, or a stack of such
+        cards from :func:`~repro.circuits.yield_est.stacked_technology`,
+        whose ``(k, 1)`` fields give ``(k, n_designs)`` outputs).
     design:
         Batch of candidate designs.
     settle_epsilon:
@@ -265,13 +273,9 @@ def analyze_integrator(
     if settle_epsilon is None:
         settle_epsilon = 1e-4
 
-    # First pass with a load estimate ignoring beta (cgs1 needed for beta).
-    # cgs1 and the parasitics depend only on geometry, so a single
-    # bootstrap analysis with a rough load is enough to fix beta exactly,
-    # and a second analysis uses the true load.
-    rough = analyze_opamp(tech, design.opamp, design.c_load + design.cf)
-    beta = feedback_factor(tech, design, rough.cgs1)
-    c_amp = amplifier_load(tech, design, rough.cgs1, beta)
+    cgs1 = MosfetModel(tech.nmos).gate_source_cap(design.opamp.w1, design.opamp.l1)
+    beta = feedback_factor(tech, design, cgs1)
+    c_amp = amplifier_load(tech, design, cgs1, beta)
     amp = analyze_opamp(tech, design.opamp, c_amp)
 
     st = settling_time(amp, beta, settle_epsilon)

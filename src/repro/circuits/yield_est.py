@@ -12,9 +12,9 @@ ingredients:
   which adds to the systematic offset.
 
 For vectorization the samples are packed into a single "stacked"
-:class:`~repro.circuits.technology.Technology` whose device-parameter
-fields are ``(n_samples, 1)`` arrays; one analysis call then evaluates
-every sample against every candidate at once.
+:class:`~repro.circuits.technology.Technology` whose per-card fields are
+``(n_samples, 1)`` arrays; one analysis call then evaluates every sample
+against every candidate at once.
 """
 
 from __future__ import annotations
@@ -39,9 +39,11 @@ _SCALAR_DEVICE_FIELDS = (
 #: The only fields stacking turns into ``(k, 1)`` columns.  The stacked
 #: card keeps card 0's value of every other field, so all cards must
 #: agree on those (the card ``name`` aside).
+_STACKED_CARD_FIELDS = ("vdd", "temperature")
 _STACKED_DEVICE_FIELDS = ("u0", "vt0")
 _SHARED_CARD_FIELDS = tuple(
-    f.name for f in fields(Technology) if f.name not in ("name", "nmos", "pmos")
+    f.name for f in fields(Technology)
+    if f.name not in ("name", "nmos", "pmos") + _STACKED_CARD_FIELDS
 )
 
 
@@ -63,10 +65,21 @@ def _check_stackable(techs: Sequence[Technology]) -> None:
             raise ValueError(
                 f"cannot stack technology cards: card {i} ({tech.name!r}) "
                 f"has {field}={value!r} but card 0 ({ref.name!r}) has "
-                f"{ref_value!r}; only u0 and vt0 are stacked"
+                f"{ref_value!r}; only vdd, temperature, u0 and vt0 are stacked"
+            )
+
+    def check_scalar(i: int, tech: Technology, field: str, value) -> None:
+        shape = np.shape(value)
+        if shape != ():
+            raise ValueError(
+                f"cannot stack technology cards: card {i} "
+                f"({tech.name!r}) {field} has shape {shape}, "
+                "expected a scalar — stacked cards cannot be re-stacked"
             )
 
     for i, tech in enumerate(techs):
+        for field in _STACKED_CARD_FIELDS:
+            check_scalar(i, tech, field, getattr(tech, field))
         for field in _SHARED_CARD_FIELDS:
             check_shared(i, tech, field, getattr(tech, field), getattr(ref, field))
         for kind in ("nmos", "pmos"):
@@ -82,14 +95,7 @@ def _check_stackable(techs: Sequence[Technology]) -> None:
                     f"(polarity/mobility_exponent) than card 0 ({ref.name!r})"
                 )
             for field in _SCALAR_DEVICE_FIELDS:
-                shape = np.shape(getattr(dev, field))
-                if shape != ():
-                    raise ValueError(
-                        f"cannot stack technology cards: card {i} "
-                        f"({tech.name!r}) {kind}.{field} has shape {shape}, "
-                        "expected a scalar — stacked cards cannot be "
-                        "re-stacked"
-                    )
+                check_scalar(i, tech, f"{kind}.{field}", getattr(dev, field))
                 if field not in _STACKED_DEVICE_FIELDS:
                     check_shared(
                         i, tech, f"{kind}.{field}",
@@ -101,17 +107,22 @@ def stacked_technology(techs: Sequence[Technology]) -> Technology:
     """Pack several technology cards into one with (k, 1)-array parameters.
 
     Analyses run under the stacked card produce outputs of shape
-    ``(k, n_designs)`` via numpy broadcasting.
+    ``(k, n_designs)`` via numpy broadcasting, and row ``i`` equals the
+    analysis under card ``i`` alone, bit for bit.
 
-    Only the devices' ``u0`` and ``vt0`` are stacked; the result keeps
-    card 0's value of every other field.  So all cards must describe the
-    same device family: per device kind the polarity and mobility
-    exponent must match card 0, every device-parameter field must be
-    scalar (in particular, a card that is itself the output of
-    ``stacked_technology`` is rejected), and every other field (``vdd``,
-    ``temperature``, ``cox``, ...) must equal card 0's.  Violations raise
-    :class:`ValueError` here rather than surfacing as broadcasting
-    errors inside ``analyze_integrator`` or as silently wrong results.
+    The card fields ``vdd`` and ``temperature`` and the devices' ``u0``
+    and ``vt0`` are stacked, so corners, Monte-Carlo samples and
+    operating conditions (a campaign scenario's supply and temperature)
+    share one stack.  The result keeps card 0's value of every other
+    field.  So all cards must describe the same device family: per
+    device kind the polarity and mobility exponent must match card 0,
+    every stacked field and device-parameter field must be scalar (in
+    particular, a card that is itself the output of
+    ``stacked_technology`` is rejected), and every other field
+    (``cap_density``, ``cox``, ...) must equal card 0's.  Violations
+    raise :class:`ValueError` here rather than surfacing as
+    broadcasting errors inside ``analyze_integrator`` or as silently
+    wrong results.
     """
     if not techs:
         raise ValueError("need at least one technology to stack")
@@ -130,6 +141,8 @@ def stacked_technology(techs: Sequence[Technology]) -> Technology:
     return replace(
         base,
         name=f"stacked[{len(techs)}]",
+        vdd=_col([t.vdd for t in techs]),
+        temperature=_col([t.temperature for t in techs]),
         nmos=stack_device(lambda t: t.nmos),
         pmos=stack_device(lambda t: t.pmos),
     )
@@ -200,26 +213,28 @@ class MonteCarloSampler:
             )
         return out
 
+    def cards(self, base: Technology) -> List[Technology]:
+        """One card per sample: *base* with that sample's process draw."""
+        return [
+            replace(
+                base,
+                nmos=replace(
+                    base.nmos,
+                    u0=base.nmos.u0 * s.n_mu_factor,
+                    vt0=base.nmos.vt0 + s.n_dvt,
+                ),
+                pmos=replace(
+                    base.pmos,
+                    u0=base.pmos.u0 * s.p_mu_factor,
+                    vt0=base.pmos.vt0 + s.p_dvt,
+                ),
+            )
+            for s in self.samples
+        ]
+
     def stacked(self, base: Technology) -> Technology:
         """All samples as one stacked technology card."""
-        techs = []
-        for s in self.samples:
-            techs.append(
-                replace(
-                    base,
-                    nmos=replace(
-                        base.nmos,
-                        u0=base.nmos.u0 * s.n_mu_factor,
-                        vt0=base.nmos.vt0 + s.n_dvt,
-                    ),
-                    pmos=replace(
-                        base.pmos,
-                        u0=base.pmos.u0 * s.p_mu_factor,
-                        vt0=base.pmos.vt0 + s.p_dvt,
-                    ),
-                )
-            )
-        return stacked_technology(techs)
+        return stacked_technology(self.cards(base))
 
     def mismatch_offsets(
         self, a_vt: float, w1: np.ndarray, l1: np.ndarray

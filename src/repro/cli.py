@@ -468,9 +468,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
         return 1
     result = done.get("result") or {}
     for run in result.get("runs", []):
+        # An empty front has no finite score, which the result carries as null.
+        hv = "n/a" if run["hv_paper"] is None else f"{run['hv_paper']:.2f}"
         print(
             f"  {run['algorithm']}: front={run['front_size']} "
-            f"hv_paper={run['hv_paper']:.2f} "
+            f"hv_paper={hv} "
             f"({run['n_evaluations']} evaluations, {run['wall_time']:.1f}s)"
         )
     surface = result.get("surface")

@@ -1,5 +1,7 @@
 """Tests for shard evaluation, packing and atomic persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.campaign.shards import (
     unpack_objectives,
     write_shard,
 )
+from repro.circuits.integrator import analyze_integrator
+
 
 class TestCampaignShardProblem:
     def test_shapes(self, tiny_spec, make_designs):
@@ -37,6 +41,20 @@ class TestCampaignShardProblem:
         for s in range(len(scenarios)):
             bits = obj[:, s * width + 1 : (s + 1) * width]
             assert np.isin(bits, (0.0, 1.0)).all()
+
+    def test_one_analysis_per_evaluation(self, tiny_spec, designs, monkeypatch):
+        import repro.campaign.shards as shards
+
+        cards = []
+
+        def counted(tech, *args, **kwargs):
+            cards.append(np.shape(tech.vdd))
+            return analyze_integrator(tech, *args, **kwargs)
+
+        monkeypatch.setattr(shards, "analyze_integrator", counted)
+        scenarios = expand_scenarios(tiny_spec)
+        CampaignShardProblem(tiny_spec, scenarios).evaluate_batch(designs)
+        assert cards == [(len(scenarios) * tiny_spec.n_mc, 1)]
 
     def test_deterministic(self, tiny_spec, designs):
         scenarios = expand_scenarios(tiny_spec)
@@ -74,6 +92,28 @@ class TestEvaluateShard:
         assert result.passes.shape == (1, tiny_spec.n_mc, len(designs))
         assert result.n_designs == len(designs)
         assert result.n_evaluations == len(designs)
+
+    def test_stacked_scenarios_match_their_own_shards(self, make_designs):
+        """With the offset limit inside the mismatch spread, pass bits
+        depend on which MC sample's mismatch each stacked row gets."""
+        from dataclasses import replace
+
+        from repro.campaign.scenarios import OperatingCondition
+        from repro.circuits.specs import published_spec
+
+        ispec = replace(published_spec(), offset_max=1.0e-3)
+        spec = CampaignSpec(
+            corners=("TT", "SS"), n_mc=6,
+            conditions=(OperatingCondition("nom"), OperatingCondition("low", vdd_scale=0.9)),
+        )
+        scenarios = expand_scenarios(spec)
+        x = make_designs(12)
+        stacked = evaluate_shard(spec, scenarios, x, integrator_spec=ispec)
+        alone = [evaluate_shard(spec, [s], x, integrator_spec=ispec) for s in scenarios]
+        passes = np.concatenate([a.passes for a in alone])
+        assert passes.any() and not passes.all()
+        np.testing.assert_array_equal(stacked.passes, passes)
+        assert stacked.power.tobytes() == np.concatenate([a.power for a in alone]).tobytes()
 
     def test_canary_passes_nominal(self, designs):
         # The known-feasible design should pass most MC samples at TT/nom.
@@ -118,6 +158,20 @@ class TestShardFiles:
         clone = read_shard(path)
         np.testing.assert_array_equal(clone.power, result.power)
         np.testing.assert_array_equal(clone.passes, result.passes)
+
+    def test_file_is_one_compact_line(self, tmp_path):
+        result = self._result()
+        text = write_shard(tmp_path / "shard.json", result).read_text(encoding="utf-8")
+        assert text == json.dumps(result.to_dict(), separators=(",", ":")) + "\n"
+
+    def test_indented_file_reads_back_equal(self, tmp_path):
+        """Shard files written with ``indent=2`` still resume a campaign."""
+        result = self._result()
+        old = tmp_path / "shard-0003.json"
+        old.write_text(json.dumps(result.to_dict(), indent=2) + "\n", encoding="utf-8")
+        new = write_shard(tmp_path / "new" / "shard-0003.json", result)
+        assert old.read_bytes() != new.read_bytes()
+        assert read_shard(old).to_dict() == read_shard(new).to_dict() == result.to_dict()
 
     def test_write_leaves_no_temp_files(self, tmp_path):
         write_shard(tmp_path / "shard.json", self._result())

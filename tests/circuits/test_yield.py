@@ -77,17 +77,45 @@ class TestStackedTechnology:
         with pytest.raises(ValueError, match="different nmos device type"):
             stacked_technology([base, swapped])
 
-    def test_supply_and_temperature_mismatch_rejected(self):
-        """A 1.62 V / 358 K card used to stack as card 0's 1.8 V / 300 K."""
+    def test_supply_and_temperature_stack_as_columns(self):
+        """Cards that differ in vdd or temperature stack row by row; any
+        other shared card field must still agree."""
         from dataclasses import replace
+
+        from repro.circuits.integrator import analyze_integrator
+        from repro.circuits.sizing_problem import IntegratorSizingProblem
+
+        from tests.circuits.conftest import KNOWN_FEASIBLE_DESIGN
+        from tests.circuits.reference_integrator import performance_arrays
 
         base = nominal_technology()
         assert (base.vdd, base.temperature) == (1.8, 300.0)
-        hot_low = replace(base, name="hot-low", vdd=1.62, temperature=358.0)
-        with pytest.raises(ValueError, match="card 1 .* has vdd=1.62"):
-            stacked_technology([base, hot_low])
-        with pytest.raises(ValueError, match="has temperature=358.0"):
-            stacked_technology([base, replace(base, temperature=358.0)])
+        cards = [
+            base,
+            replace(corner_technology("SS", base), vdd=1.62, temperature=358.0),
+            replace(base, temperature=250.0),
+        ]
+        stacked = stacked_technology(cards)
+        np.testing.assert_array_equal(stacked.vdd, [[1.8], [1.62], [1.8]])
+        np.testing.assert_array_equal(stacked.temperature, [[300.0], [358.0], [250.0]])
+
+        x = np.stack([KNOWN_FEASIBLE_DESIGN * (1.0 + 0.1 * i) for i in range(5)])
+        design = IntegratorSizingProblem.build_design(x)
+        rows = performance_arrays(analyze_integrator(stacked, design))
+        for i, card in enumerate(cards):
+            alone = performance_arrays(analyze_integrator(card, design))
+            for name, arr in alone.items():
+                row = np.broadcast_to(rows[name], (len(cards), x.shape[0]))[i]
+                assert row.tobytes() == np.broadcast_to(arr, row.shape).tobytes(), (
+                    f"card {i} {name}"
+                )
+
+        # Device fields other than u0/vt0: test_unstacked_device_field_mismatch_rejected.
+        for field, value in (
+            ("cap_density", 2e-3), ("cap_bottom_ratio", 0.1), ("min_length", 0.35e-6),
+        ):
+            with pytest.raises(ValueError, match=f"card 1 .* has {field}="):
+                stacked_technology([base, replace(base, **{field: value})])
 
     def test_unstacked_device_field_mismatch_rejected(self):
         from dataclasses import replace

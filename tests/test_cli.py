@@ -459,6 +459,28 @@ class TestServeCommandsOffline:
         assert code == 2
         assert "cannot reach" in capsys.readouterr().err
 
+    def test_submit_wait_on_an_empty_front(self, capsys, monkeypatch):
+        """A done job whose front is empty carries ``hv_paper: null``."""
+        from repro.serve.client import ServeClient
+
+        run = {
+            "algorithm": "SACGA", "front_size": 0, "hv_paper": None,
+            "n_evaluations": 112, "wall_time": 0.4,
+        }
+        monkeypatch.setattr(
+            ServeClient, "submit",
+            lambda self, params, trace_id=None: {"id": "j1", "state": "queued"},
+        )
+        monkeypatch.setattr(
+            ServeClient, "wait",
+            lambda self, job_id, timeout=None: {
+                "id": job_id, "state": "done", "result": {"runs": [run]},
+            },
+        )
+        code = main(["submit", "sacga", "--url", self.DEAD_URL, "--wait"])
+        assert code == 0
+        assert "SACGA: front=0 hv_paper=n/a (112 evaluations" in capsys.readouterr().out
+
 
 class TestServeCommandsInProcess:
     def test_submit_wait_and_query_against_live_server(self, capsys, tmp_path):
