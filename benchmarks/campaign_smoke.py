@@ -43,9 +43,11 @@ LEASE_S = 5.0
 SURFACE = "smoke-front"
 CAMPAIGN_ID = "smoke-campaign"
 
-#: 2 corners x 4 operating conditions = 8 scenarios, one shard each.
-#: yield_target=0 keeps every design in the derated surface, so the
-#: smoke also proves the registration + HTTP query path end to end.
+#: 2 corners x 4 operating conditions = 8 scenarios in 4 shards: one
+#: op-amp card (corner x supply scale) a shard, so nom/hot/cold share a
+#: shard and lowvdd has its own.  yield_target=0 keeps every design in
+#: the derated surface, so the smoke also proves the registration +
+#: HTTP query path end to end.
 SPEC = CampaignSpec(
     corners=("TT", "SS"),
     n_mc=8,

@@ -6,9 +6,11 @@ Two digests, each over the raw IEEE-754 bytes of every output array:
   constraints, corners on and off x ``n_mc`` 1/2/6 x seeds 0-5 x
   populations 1/7/24/80/200.  Odd seeds scale each design by 0.5-1.5x,
   so some of their designs lie out of bounds.
-* ``campaign`` -- power and pass bits of every campaign shard over
-  perfbench's grid (5 corners x 3 operating conditions x 16 MC, two
-  scenarios a shard) for 200 designs drawn in bounds, seeds 0/1/11/201.
+* ``campaign`` -- power and pass bits of every campaign scenario, in
+  the grid's canonical order whatever the shard plan, over two grids:
+  perfbench's (5 corners x nom/hot/lowvdd x 16 MC) and
+  ``campaign_smoke.py``'s (TT/SS x nom/hot/cold/lowvdd x 8 MC), each
+  for 200 designs drawn in bounds, seeds 0/1/11/201.
 
 Usage::
 
@@ -54,6 +56,7 @@ def sizing_digest() -> str:
 
 
 def campaign_digest() -> str:
+    from campaign_smoke import SPEC as SMOKE_SPEC
     from repro.campaign.scenarios import (
         CampaignSpec,
         OperatingCondition,
@@ -63,7 +66,7 @@ def campaign_digest() -> str:
     from repro.campaign.shards import evaluate_shard
     from repro.circuits.sizing_problem import _LOWER, _UPPER
 
-    spec = CampaignSpec(
+    perfbench_spec = CampaignSpec(
         n_mc=16,
         conditions=(
             OperatingCondition("nom"),
@@ -71,15 +74,20 @@ def campaign_digest() -> str:
             OperatingCondition("lowvdd", vdd_scale=0.9),
         ),
     )
-    scenarios = expand_scenarios(spec)
     h = hashlib.sha256()
-    for seed in (0, 1, 11, 201):
-        rng = np.random.default_rng(seed)
-        x = _LOWER + rng.random((200, _LOWER.size)) * (_UPPER - _LOWER)
-        for k, indices in enumerate(plan_shards(spec)):
-            shard = evaluate_shard(spec, [scenarios[i] for i in indices], x, k)
-            h.update(np.ascontiguousarray(shard.power).tobytes())
-            h.update(np.ascontiguousarray(shard.passes).tobytes())
+    for spec in (perfbench_spec, SMOKE_SPEC):
+        scenarios = expand_scenarios(spec)
+        for seed in (0, 1, 11, 201):
+            rng = np.random.default_rng(seed)
+            x = _LOWER + rng.random((200, _LOWER.size)) * (_UPPER - _LOWER)
+            by_key = {}
+            for k, indices in enumerate(plan_shards(spec)):
+                shard = evaluate_shard(spec, [scenarios[i] for i in indices], x, k)
+                for key, power, passes in zip(shard.scenario_keys, shard.power, shard.passes):
+                    by_key[key] = (power, passes)
+            for scenario in scenarios:
+                for arr in by_key[scenario.key]:
+                    h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 

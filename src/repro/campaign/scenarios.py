@@ -8,14 +8,15 @@ scenario, shard and worker sees the *same* disturbance draws, which is
 what makes per-sample AND-aggregation across scenarios meaningful).
 
 The grid is declared as a :class:`CampaignSpec` and expanded in a fixed,
-deterministic order (corners outer, conditions inner) so shard plans are
-reproducible from the manifest alone.
+deterministic order (corners outer, conditions inner).  A shard plan is
+computed once, when a campaign is created, and stored in its manifest,
+so a campaign always resumes on the plan it was created with.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.circuits.technology import (
     CORNERS,
@@ -102,8 +103,11 @@ class CampaignSpec:
     with common random numbers from ``mc_seed``.  ``yield_target``
     filters the derated surface: a design survives only if the fraction
     of MC samples passing spec in *every* scenario is at least the
-    target.  ``shard_scenarios`` bounds how many scenarios one shard
-    evaluates (the unit of durable/parallel execution).
+    target.  ``shard_scenarios`` bounds how many distinct op-amp cards
+    (a corner under one ``vdd_scale``) one shard analyses; a shard is the
+    unit of durable/parallel execution.  The scenarios that differ from
+    one another only in temperature share one op-amp card, so they
+    always land in the same shard (see :func:`plan_shards`).
     """
 
     corners: Tuple[str, ...] = CORNERS
@@ -194,7 +198,25 @@ def expand_scenarios(spec: CampaignSpec) -> List[Scenario]:
 
 
 def plan_shards(spec: CampaignSpec) -> List[List[int]]:
-    """Scenario indices per shard (contiguous chunks of the grid)."""
-    n = len(spec.corners) * len(spec.conditions)
+    """Scenario indices per shard, each shard at most ``shard_scenarios``
+    op-amp cards.
+
+    An op-amp card is a corner under one ``vdd_scale``.  Its scenarios
+    (the temperature variants of one supply) share one op-amp analysis
+    in :func:`~repro.circuits.integrator.analyze_integrator`, so they
+    always share a shard, even where the condition order puts them
+    apart.  Cards are chunked in order of first appearance in the grid,
+    and a shard lists its scenarios in grid order.  A grid without
+    temperature variants is chunked into contiguous runs of
+    ``shard_scenarios`` scenarios.
+    """
+    cards: Dict[Tuple[str, float], List[int]] = {}
+    for i, scenario in enumerate(expand_scenarios(spec)):
+        card = (scenario.corner, scenario.condition.vdd_scale)
+        cards.setdefault(card, []).append(i)
+    groups = list(cards.values())
     size = spec.shard_scenarios
-    return [list(range(i, min(i + size, n))) for i in range(0, n, size)]
+    return [
+        sorted(i for group in groups[start : start + size] for i in group)
+        for start in range(0, len(groups), size)
+    ]

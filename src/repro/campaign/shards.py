@@ -1,9 +1,9 @@
 """Shard evaluation: a scenario batch as a vectorized Problem.
 
-A shard evaluates all campaign designs under a contiguous slice of the
-scenario grid.  The evaluation is expressed as a
-:class:`~repro.problems.base.Problem` so it inherits the batched
-``evaluate_batch`` contract and goes through the same
+A shard evaluates all campaign designs under the scenarios of its plan
+entry (:func:`~repro.campaign.scenarios.plan_shards`).  The evaluation
+is expressed as a :class:`~repro.problems.base.Problem` so it inherits
+the batched ``evaluate_batch`` contract and goes through the same
 :class:`~repro.core.evaluation.EvaluationBackend` as the optimizers.
 Parallelism comes from running shards as durable jobs on several
 ``repro workers`` processes.
@@ -12,7 +12,8 @@ The ``stacked_technology`` trick packs every (scenario, Monte-Carlo
 sample) card of the shard — each scenario's corner, supply and
 temperature under each of the ``n_mc`` process samples — into a single
 card, so one ``analyze_integrator`` call covers
-``(scenarios x samples x designs)``.  The per-scenario result —
+``(scenarios x samples x designs)``; the scenarios that differ only in
+temperature share that call's op-amp analysis.  The per-scenario result —
 worst-sample power plus one pass bit per (sample, design) — is packed
 into the objective matrix as float columns::
 

@@ -31,7 +31,7 @@ All functions are vectorized over candidate designs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from repro.circuits.devices import CapacitorModel
 from repro.circuits.mosfet import MosfetModel
 from repro.circuits.opamp import OpAmpPerformance, OpAmpSizing, analyze_opamp, phase_margin_deg
 from repro.circuits.technology import Technology
+from repro.circuits.yield_est import STACKED_FIELDS, distinct_rows, stacked_rows
 
 # Fixed system-level context of the integrator inside the sigma-delta
 # modulator (these are specification-level givens, not design variables).
@@ -56,6 +57,11 @@ OUTPUT_NOISE_WEIGHT = 0.3
 # wiring, comparator input) — it bounds the output kT/C noise even when
 # the explicit load capacitance approaches zero.
 SUCCESSOR_INPUT_CAP = 0.8e-12
+
+#: The stacked fields the op-amp analysis reads: all but ``temperature``,
+#: which enters only the integrator's kT noise terms.  Rows of a stacked
+#: card that agree on these share one op-amp analysis.
+OPAMP_CARD_FIELDS = tuple(f for f in STACKED_FIELDS if f != "temperature")
 
 
 @dataclass
@@ -258,6 +264,12 @@ def analyze_integrator(
     of ``w1``, ``l1``), so beta and the amplifier load are fixed before
     the op-amp is analysed, and each bias point is solved once.
 
+    Under a stacked card, rows that differ only in ``temperature`` (a
+    campaign's temperature variants of one scenario card) share one
+    op-amp analysis: it runs on the distinct rows of
+    :data:`OPAMP_CARD_FIELDS` and is gathered back to every row before
+    the integrator stage, so ``amp`` stays row-complete.
+
     Parameters
     ----------
     tech:
@@ -276,7 +288,18 @@ def analyze_integrator(
     cgs1 = MosfetModel(tech.nmos).gate_source_cap(design.opamp.w1, design.opamp.l1)
     beta = feedback_factor(tech, design, cgs1)
     c_amp = amplifier_load(tech, design, cgs1, beta)
-    amp = analyze_opamp(tech, design.opamp, c_amp)
+    # Rows are gathered along the leading axis of 2-D outputs, which is
+    # the stack's for a 1-D (or scalar) design batch.
+    shared = None
+    if design.opamp.w1.ndim <= 1:
+        shared = distinct_rows(tech, OPAMP_CARD_FIELDS)
+    if shared is None:
+        amp = analyze_opamp(tech, design.opamp, c_amp)
+    else:
+        first, inverse = shared
+        amp = _gather_rows(
+            analyze_opamp(stacked_rows(tech, first), design.opamp, c_amp), inverse
+        )
 
     st = settling_time(amp, beta, settle_epsilon)
     se = 1.0 / (1.0 + amp.a0 * beta)
@@ -310,3 +333,19 @@ def analyze_integrator(
         noise_total=noise,
         amp=amp,
     )
+
+
+def _gather_rows(amp: OpAmpPerformance, inverse: np.ndarray) -> OpAmpPerformance:
+    """*amp* of a card's distinct rows, gathered back to every row.
+
+    Arrays with the stack's leading axis (2-D: rows x designs) are
+    indexed by *inverse*; geometry-only arrays (1-D) are the same in
+    every row and stay as they are, as in an analysis of the full card.
+    """
+
+    def take(value):
+        if isinstance(value, dict):
+            return {name: take(v) for name, v in value.items()}
+        return value[inverse] if np.ndim(value) == 2 else value
+
+    return replace(amp, **{f.name: take(getattr(amp, f.name)) for f in fields(amp)})

@@ -36,9 +36,14 @@ import numpy as np
 
 from repro.circuits.mosfet import MosfetModel
 from repro.circuits.technology import Technology
+from repro.circuits.yield_est import STACKED_FIELDS, distinct_rows, stacked_rows
 
 SWING_MARGIN = 0.05  # extra headroom (V) beyond Vdsat at each output rail
 BIAS_OVERHEAD = 0.2  # bias-branch current as a fraction of Itail
+
+#: The stacked fields M3's bias solve reads: the PMOS card alone (the
+#: diode connection, VSD3 = VSG3, keeps the supply out of it).
+M3_CARD_FIELDS = tuple(f for f in STACKED_FIELDS if f.startswith("pmos."))
 
 
 @dataclass
@@ -166,10 +171,16 @@ def analyze_opamp(
     i_half = s.itail / 2.0
 
     # --- DC operating point (fixed-point over coupled node voltages) ------
-    # M3 (diode-connected PMOS): VSD3 = VSG3.
+    # M3 (diode-connected PMOS): VSD3 = VSG3.  Rows of a stacked card
+    # that share the PMOS card (a supply variant; SS/FS and FF/SF) share
+    # the solve, gathered back along the stack axis.
+    m3_rows = distinct_rows(tech, M3_CARD_FIELDS) if s.w3.ndim <= 1 else None
+    m3 = pmos if m3_rows is None else MosfetModel(stacked_rows(tech, m3_rows[0]).pmos)
     vsg3 = np.full(s.shape, 1.0)
     for _ in range(3):
-        vsg3 = pmos.vgs_for_current(s.w3, s.l3, i_half, vsg3)
+        vsg3 = m3.vgs_for_current(s.w3, s.l3, i_half, vsg3)
+    if m3_rows is not None:
+        vsg3 = vsg3[m3_rows[1]]
     v_first = vdd - vsg3  # first-stage output node (balanced)
 
     # M1: VDS1 = v_first - v_source, v_source = v_cm - VGS1.

@@ -20,7 +20,8 @@ against every candidate at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import List, Sequence
+from operator import attrgetter, eq
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +46,31 @@ _SHARED_CARD_FIELDS = tuple(
     f.name for f in fields(Technology)
     if f.name not in ("name", "nmos", "pmos") + _STACKED_CARD_FIELDS
 )
+_DEVICE_KINDS = ("nmos", "pmos")
+
+#: Every stacked field as a dotted name (``vdd``, ``nmos.u0``, ...): the
+#: fields in which the rows of a stacked card can differ.  Keys of
+#: :func:`distinct_rows` are drawn from this list, so a field stacked
+#: later cannot be left out of them unnoticed.
+STACKED_FIELDS = _STACKED_CARD_FIELDS + tuple(
+    f"{kind}.{field}" for kind in _DEVICE_KINDS for field in _STACKED_DEVICE_FIELDS
+)
+
+_SHARED_DEVICE_FIELDS = ("polarity", "mobility_exponent") + tuple(
+    f for f in _SCALAR_DEVICE_FIELDS if f not in _STACKED_DEVICE_FIELDS
+)
+_card_values = attrgetter(*_STACKED_CARD_FIELDS, *_SHARED_CARD_FIELDS)
+_device_values = attrgetter(*_STACKED_DEVICE_FIELDS, *_SHARED_DEVICE_FIELDS)
+
+
+def _stack_values(tech: Technology) -> Tuple[tuple, tuple]:
+    """``(stacked, shared)``: the values of *tech*'s stacked fields, and
+    the values of every other field that must equal card 0's."""
+    card = _card_values(tech)
+    nmos = _device_values(tech.nmos)
+    pmos = _device_values(tech.pmos)
+    c, d = len(_STACKED_CARD_FIELDS), len(_STACKED_DEVICE_FIELDS)
+    return card[:c] + nmos[:d] + pmos[:d], card[c:] + nmos[d:] + pmos[d:]
 
 
 def _check_stackable(techs: Sequence[Technology]) -> None:
@@ -57,7 +83,24 @@ def _check_stackable(techs: Sequence[Technology]) -> None:
     ``analyze_integrator``, and a card whose unstacked fields differ
     from card 0's would silently be analysed with card 0's values.
     Fail fast with a clear message instead.
+
+    Cards whose values are all plain numbers pass on one comparison of
+    their shared values with card 0's; anything else (an array field,
+    a mismatch) is walked field by field, which names the offender.
     """
+    ref_shared = _stack_values(techs[0])[1]
+    for tech in techs:
+        stacked, shared = _stack_values(tech)
+        if not (
+            all(isinstance(v, (int, float)) for v in stacked + shared)
+            and all(map(eq, shared, ref_shared))
+        ):
+            _walk_stackable(techs)
+            return
+
+
+def _walk_stackable(techs: Sequence[Technology]) -> None:
+    """The field-by-field check behind :func:`_check_stackable`."""
     ref = techs[0]
 
     def check_shared(i: int, tech: Technology, field: str, value, ref_value) -> None:
@@ -82,7 +125,7 @@ def _check_stackable(techs: Sequence[Technology]) -> None:
             check_scalar(i, tech, field, getattr(tech, field))
         for field in _SHARED_CARD_FIELDS:
             check_shared(i, tech, field, getattr(tech, field), getattr(ref, field))
-        for kind in ("nmos", "pmos"):
+        for kind in _DEVICE_KINDS:
             dev = tech.device(kind)
             ref_dev = ref.device(kind)
             if (
@@ -150,6 +193,57 @@ def stacked_technology(techs: Sequence[Technology]) -> Technology:
 
 def _col(values: List[float]) -> np.ndarray:
     return np.asarray(values, dtype=float).reshape(-1, 1)
+
+
+def _stacked_field(tech: Technology, name: str):
+    kind, _, field = name.rpartition(".")
+    return getattr(tech.device(kind) if kind else tech, field)
+
+
+def distinct_rows(
+    tech: Technology, keys: Sequence[str]
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The rows of a stacked card that differ in the stacked fields *keys*.
+
+    *keys* are names from :data:`STACKED_FIELDS`.  Returns
+    ``(first, inverse)``: ``first`` holds one row per distinct key, the
+    first row with that key, in order of first appearance, and
+    ``inverse[i]`` is the position in ``first`` of row ``i``'s key, so
+    an analysis that reads only *keys* can run on
+    ``stacked_rows(tech, first)`` and be gathered back with
+    ``result[inverse]``.  Keys compare bit for bit.  Returns ``None``
+    when there is nothing to share: *tech* is not stacked, or every
+    row is distinct.
+    """
+    columns = np.broadcast_arrays(
+        *(np.asarray(_stacked_field(tech, key), dtype=float) for key in keys)
+    )
+    if columns[0].ndim != 2:
+        return None
+    table = np.concatenate(columns, axis=1)
+    index: Dict[bytes, int] = {}
+    inverse = np.array([index.setdefault(row.tobytes(), len(index)) for row in table])
+    if len(index) == len(table):
+        return None
+    # Keys are numbered in order of first appearance, so np.unique's
+    # sorted order is that order too.
+    first = np.unique(inverse, return_index=True)[1]
+    return first, inverse
+
+
+def stacked_rows(tech: Technology, rows: np.ndarray) -> Technology:
+    """The stacked card made of rows *rows* of the stacked card *tech*."""
+
+    def pick(dev: DeviceParams) -> DeviceParams:
+        return replace(dev, **{f: getattr(dev, f)[rows] for f in _STACKED_DEVICE_FIELDS})
+
+    return replace(
+        tech,
+        name=f"stacked[{len(rows)}]",
+        **{f: getattr(tech, f)[rows] for f in _STACKED_CARD_FIELDS},
+        nmos=pick(tech.nmos),
+        pmos=pick(tech.pmos),
+    )
 
 
 @dataclass(frozen=True)

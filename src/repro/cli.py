@@ -1067,8 +1067,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc_run.add_argument(
         "--shard-scenarios", type=int, default=None,
-        help="scenarios per shard — the unit of durable execution "
-        "(default: 2)",
+        help="op-amp cards (a corner under one supply scale) per shard — "
+        "the unit of durable execution; a card's temperature variants "
+        "share its shard (default: 2)",
     )
     pc_run.add_argument(
         "--condition", action="append", default=None, metavar="NAME,VDD,TEMP",

@@ -210,8 +210,6 @@ class JobManager:
         self._joined = False
         self._cancel_events: Dict[str, threading.Event] = {}
         self._cancel_lock = threading.Lock()
-        self._wake = threading.Event()
-        self._stop = threading.Event()
         self._m_submitted = metrics.counter(
             "repro_serve_jobs_submitted_total", "Jobs accepted into the queue"
         )
@@ -250,8 +248,6 @@ class JobManager:
                 resume_runner=resume_runner,
                 cancel_events=self._cancel_events,
                 cancel_events_lock=self._cancel_lock,
-                wake=self._wake,
-                stop=self._stop,
                 on_transition=self.refresh_gauges,
                 on_finished=self._record_finished,
                 recorder=self.recorder,
@@ -356,7 +352,6 @@ class JobManager:
         )
         self.job_store.evict_terminal(self.retain_terminal)
         self.refresh_gauges()
-        self._wake.set()
         return record
 
     # ---------------------------------------------------------------- lookup
@@ -481,8 +476,8 @@ class JobManager:
                 events = list(self._cancel_events.values())
             for event in events:
                 event.set()
-        self._stop.set()
-        self._wake.set()
+        for loop in self._loops:
+            loop.stop()
         deadline = None if timeout is None else time.monotonic() + timeout
         for thread in self._threads:
             remaining = (

@@ -223,6 +223,11 @@ class JobStore:
         self._conns: List[sqlite3.Connection] = []
         self._conns_lock = threading.Lock()
         self._closed = False
+        # Counts submits (and worker stop requests) through this object,
+        # so a waiting worker loop can tell whether one happened since it
+        # last looked at the queue.
+        self._submitted = threading.Condition()
+        self._submits = 0
         metrics = NULL_METRICS if metrics is None else metrics
         self._m_op = metrics.histogram(
             "repro_serve_store_op_seconds",
@@ -326,7 +331,9 @@ class JobStore:
         The depth check and the insert share one transaction: a
         submission rejected with :class:`JobQueueFull` leaves **no row**
         behind, and — because cancelled jobs leave the ``queued`` state —
-        cancelling queued jobs genuinely frees queue capacity.
+        cancelling queued jobs genuinely frees queue capacity.  After
+        the commit, worker loops of this process that wait on
+        :meth:`wait_for_submit` wake at once.
         """
         with self._op("submit"):
             conn = self._conn()
@@ -364,6 +371,30 @@ class JobStore:
                         record.trace_id,
                     ),
                 )
+        self.notify_waiters()
+
+    @property
+    def submits(self) -> int:
+        """How many times :meth:`notify_waiters` has run on this object."""
+        with self._submitted:
+            return self._submits
+
+    def notify_waiters(self) -> None:
+        """Wake every thread blocked in this object's :meth:`wait_for_submit`."""
+        with self._submitted:
+            self._submits += 1
+            self._submitted.notify_all()
+
+    def wait_for_submit(self, seen: int, timeout: float) -> None:
+        """Block until :attr:`submits` differs from *seen*, or *timeout* s.
+
+        Reading :attr:`submits` before looking at the queue and passing
+        it here means a submit between the look and the wait is not
+        missed.  Other processes' submits do not wake this one; a worker
+        process finds them when *timeout* runs out.
+        """
+        with self._submitted:
+            self._submitted.wait_for(lambda: self._submits != seen, timeout)
 
     # --------------------------------------------------------------- lookup
 

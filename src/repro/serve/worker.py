@@ -164,7 +164,11 @@ class WorkerLoop:
     worker_id:
         Lease-owner label; defaults to ``host:pid:random``.
     lease_s / poll_s:
-        Lease duration and idle-poll interval.
+        Lease duration and idle-poll interval.  An idle loop waits on
+        the store's :meth:`~repro.serve.store.JobStore.wait_for_submit`,
+        so a job submitted through the same :class:`JobStore` object
+        starts at once; jobs submitted by other processes are found
+        every *poll_s*.
     runner / resume_runner:
         The callables executing ``run_one``-shaped and resume jobs
         (tests inject stubs).
@@ -172,9 +176,6 @@ class WorkerLoop:
         Optional shared ``{job_id: Event}`` dict (+ its lock) letting a
         same-process manager cancel a running job without waiting for
         the store poll.
-    wake / stop:
-        Optional events: *wake* shortcuts the idle poll after a submit;
-        *stop* makes the loop exit once the queue is drained.
     on_transition / on_finished:
         Manager hooks: gauge refresh after any state transition, and
         metric accounting when this worker finishes a job locally.
@@ -202,8 +203,6 @@ class WorkerLoop:
         resume_runner: Callable = resume_run,
         cancel_events: Optional[Dict[str, threading.Event]] = None,
         cancel_events_lock: Optional[threading.Lock] = None,
-        wake: Optional[threading.Event] = None,
-        stop: Optional[threading.Event] = None,
         on_transition: Optional[Callable[[], None]] = None,
         on_finished: Optional[Callable[[JobRecord, str, float], None]] = None,
         recorder: Optional[TraceRecorder] = None,
@@ -222,8 +221,7 @@ class WorkerLoop:
         self._resume_runner = resume_runner
         self._cancel_events = cancel_events if cancel_events is not None else {}
         self._cancel_lock = cancel_events_lock or threading.Lock()
-        self._wake = wake or threading.Event()
-        self._stop = stop or threading.Event()
+        self._stop = threading.Event()
         self._on_transition = on_transition or (lambda: None)
         self._on_finished = on_finished or (lambda record, state, started: None)
         self.recorder = recorder if recorder is not None else NULL_TRACE_RECORDER
@@ -256,8 +254,9 @@ class WorkerLoop:
             self.flush_metrics()
 
     def stop(self) -> None:
+        """Exit :meth:`run` once the queue is drained (an idle wait ends now)."""
         self._stop.set()
-        self._wake.set()
+        self.jobs.notify_waiters()
 
     # ------------------------------------------------------------- the loop
 
@@ -265,6 +264,7 @@ class WorkerLoop:
         """Serve jobs until stopped (and the queue is drained) or until
         *max_jobs* have been executed.  Returns the number served."""
         while True:
+            seen = self.jobs.submits
             reclaimed = self.jobs.requeue_expired()
             if reclaimed:
                 self._on_transition()
@@ -274,8 +274,7 @@ class WorkerLoop:
                 if self._stop.is_set():
                     self.flush_metrics()
                     return self.n_served
-                self._wake.wait(self.poll_s)
-                self._wake.clear()
+                self.jobs.wait_for_submit(seen, self.poll_s)
                 continue
             self._on_transition()
             self.run_job(record)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.campaign.engine import CampaignRunner, UnknownCampaign
-from repro.campaign.scenarios import CampaignSpec
+from repro.campaign.scenarios import CampaignSpec, OperatingCondition
 from repro.campaign.shards import ShardResult, write_shard
 from repro.obs.registry import MetricsRegistry
 from repro.serve.surfaces import SurfaceStore
@@ -423,6 +423,35 @@ class TestResumeByteIdentity:
         assert resumed_runner.pending_shards(reloaded) == [1]
         report = resumed_runner.run_inline(reloaded)
         assert comparable(report) == comparable(baseline)
+
+    def test_stored_contiguous_plan_runs_to_the_same_report(self, tmp_path, batch):
+        # A campaign created before shards were planned by op-amp card
+        # stored contiguous chunks of its nom/hot grid in its manifest;
+        # it resumes on that plan, to the report a fresh campaign gives.
+        x, c_load, power = batch
+        spec = CampaignSpec(
+            corners=("TT", "SS"), n_mc=4, shard_scenarios=1,
+            conditions=(
+                OperatingCondition("nom"),
+                OperatingCondition("hot", temperature=358.15),
+            ),
+        )
+        runner = CampaignRunner(tmp_path / "plans")
+        fresh = runner.create(spec, x, c_load, power, campaign_id="fresh")
+        assert fresh["shards"] == [[0, 1], [2, 3]]
+        old = runner.create(spec, x, c_load, power, campaign_id="old")
+        manifest_path = runner.manifest_path("old")
+        stored = json.loads(manifest_path.read_text(encoding="utf-8"))
+        stored["shards"] = [[0], [1], [2], [3]]
+        manifest_path.write_text(json.dumps(stored), encoding="utf-8")
+
+        old = runner.load("old")
+        assert runner.pending_shards(old) == [0, 1, 2, 3]
+        rep_old = runner.run_inline(old)
+        rep_fresh = runner.run_inline(fresh)
+        assert rep_old["n_shards"] == 4
+        assert rep_fresh["n_shards"] == 2
+        assert comparable(rep_old) == comparable(rep_fresh)
 
     def test_single_vs_multi_shard_identical(self, tmp_path, batch):
         x, c_load, power = batch

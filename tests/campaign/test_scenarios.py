@@ -124,3 +124,48 @@ class TestGrid:
     def test_plan_shards_single(self):
         spec = CampaignSpec(corners=("TT",), shard_scenarios=8)
         assert plan_shards(spec) == [[0]]
+
+    def test_temperature_variants_share_a_shard(self):
+        # hot differs from nom only in temperature, so it shares nom's
+        # op-amp card and shard although lowvdd sits between them.
+        spec = CampaignSpec(
+            corners=("TT", "SS"),
+            conditions=(
+                NOMINAL_CONDITION,
+                OperatingCondition(name="lowvdd", vdd_scale=0.9),
+                OperatingCondition(name="hot", temperature=358.0),
+            ),
+            shard_scenarios=1,
+        )
+        keys = [s.key for s in expand_scenarios(spec)]
+        shards = [[keys[i] for i in shard] for shard in plan_shards(spec)]
+        assert shards == [
+            ["TT@nom", "TT@hot"], ["TT@lowvdd"], ["SS@nom", "SS@hot"], ["SS@lowvdd"],
+        ]
+
+    def test_shard_scenarios_counts_op_amp_cards(self):
+        # 5 corners x {nom, hot, lowvdd}: two op-amp cards per corner,
+        # so two cards a shard is one corner a shard.
+        spec = CampaignSpec(
+            conditions=(
+                NOMINAL_CONDITION,
+                OperatingCondition(name="hot", temperature=358.15),
+                OperatingCondition(name="lowvdd", vdd_scale=0.9),
+            ),
+            shard_scenarios=2,
+        )
+        assert plan_shards(spec) == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], [12, 13, 14],
+        ]
+
+    def test_grid_without_temperature_variants_plans_contiguous_chunks(self):
+        spec = CampaignSpec(
+            corners=("TT", "SS", "FF"),
+            conditions=(
+                NOMINAL_CONDITION,
+                OperatingCondition(name="lowvdd", vdd_scale=0.9),
+                OperatingCondition(name="hotlow", vdd_scale=0.95, temperature=358.0),
+            ),
+            shard_scenarios=2,
+        )
+        assert plan_shards(spec) == [[0, 1], [2, 3], [4, 5], [6, 7], [8]]

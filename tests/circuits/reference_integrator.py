@@ -10,7 +10,7 @@ be checked against it bit for bit, field by field.
 :func:`performance_arrays` flattens an
 :class:`~repro.circuits.integrator.IntegratorPerformance`, its ``amp``
 and the amp's per-device dicts into ``name -> array`` for those
-comparisons.
+comparisons (:func:`opamp_arrays` flattens an ``amp`` alone).
 """
 
 from dataclasses import fields
@@ -28,7 +28,7 @@ from repro.circuits.integrator import (
     noise_budget,
     settling_time,
 )
-from repro.circuits.opamp import analyze_opamp, phase_margin_deg
+from repro.circuits.opamp import OpAmpPerformance, analyze_opamp, phase_margin_deg
 from repro.circuits.technology import Technology
 
 
@@ -101,11 +101,19 @@ def performance_arrays(perf: IntegratorPerformance) -> Dict[str, np.ndarray]:
     for f in fields(perf):
         if f.name != "amp":
             out[f.name] = np.asarray(getattr(perf, f.name))
-    for f in fields(perf.amp):
-        value = getattr(perf.amp, f.name)
+    for name, arr in opamp_arrays(perf.amp).items():
+        out[f"amp.{name}"] = arr
+    return out
+
+
+def opamp_arrays(amp: OpAmpPerformance) -> Dict[str, np.ndarray]:
+    """Every array of *amp*, per-device dicts flattened, by a dotted name."""
+    out: Dict[str, np.ndarray] = {}
+    for f in fields(amp):
+        value = getattr(amp, f.name)
         if isinstance(value, dict):
             for device, arr in value.items():
-                out[f"amp.{f.name}.{device}"] = np.asarray(arr)
+                out[f"{f.name}.{device}"] = np.asarray(arr)
         else:
-            out[f"amp.{f.name}"] = np.asarray(value)
+            out[f.name] = np.asarray(value)
     return out

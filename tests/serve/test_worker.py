@@ -140,6 +140,50 @@ class TestWorkerLoopProtocol:
             store.close()
 
 
+    def test_submit_wakes_an_idle_loop_at_once(self, tmp_path):
+        # The loop shares the submitter's JobStore object but no
+        # JobManager: the submit itself must end the loop's idle wait,
+        # and stop() must end it too, long before poll_s runs out.
+        store = JobStore(tmp_path / "jobs.sqlite")
+        idle = threading.Event()
+        claim_next = store.claim_next
+
+        def watched_claim(*args, **kwargs):
+            record = claim_next(*args, **kwargs)
+            if record is None:
+                idle.set()
+            return record
+
+        store.claim_next = watched_claim
+        started = threading.Event()
+
+        def runner(algorithm, experiment_id, **kwargs):
+            started.set()
+            return build_summary()
+
+        loop = WorkerLoop(store, runner=runner, worker_id="w", poll_s=5.0)
+        thread = threading.Thread(target=loop.run)
+        thread.start()
+        try:
+            assert idle.wait(DEADLINE_S)
+            submitted = time.monotonic()
+            store.submit(make_record("job-a"))
+            assert started.wait(DEADLINE_S)
+            assert time.monotonic() - submitted < 0.5
+            assert wait_for(lambda: store.get("job-a").state == "done")
+            idle.clear()
+            assert idle.wait(DEADLINE_S)
+            stopped = time.monotonic()
+            loop.stop()
+            thread.join(DEADLINE_S)
+            assert not thread.is_alive()
+            assert time.monotonic() - stopped < 0.5
+        finally:
+            loop.stop()
+            thread.join(DEADLINE_S)
+            store.close()
+
+
 class TestKillDashNine:
     @pytest.mark.slow
     def test_killed_worker_job_resumes_byte_identical(self, tmp_path, capsys):
